@@ -18,7 +18,7 @@ from pathlib import Path
 
 from greenberg.cyclo_logs import compute_record, load_records
 from greenberg.finite_field import factorize
-from greenberg.group_ring import canonical_generators, poly_str
+from greenberg.group_ring import MAX_LEVEL, canonical_generators, poly_str
 from greenberg.quadratic import character_kernel, is_squarefree
 from greenberg.verify import RunConfig, VerificationReport, verify
 
@@ -34,11 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _level(text: str) -> int:
+    n = int(text)
+    if not 1 <= n <= MAX_LEVEL:
+        raise argparse.ArgumentTypeError(
+            f"{n} is outside [1, {MAX_LEVEL}], the levels int64 arithmetic holds exactly")
+    return n
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--primes", type=int, default=15,
                    help="auxiliary primes per level (default 15)")
-    p.add_argument("--max-level", type=int, default=13,
-                   help="give up past this level (default 13)")
+    p.add_argument("--max-level", type=_level, default=13,
+                   help=f"give up past this level, 1 to {MAX_LEVEL} (default 13)")
     p.add_argument("--adaptive", action="store_true",
                    help="add primes until five in a row change nothing")
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
@@ -193,6 +201,7 @@ def report_dict(rep: VerificationReport) -> dict:
                 "howell": {
                     "spec": {"d": lv.ideal.spec.d, "n": lv.ideal.spec.n,
                              "divided": lv.ideal.spec.divided},
+                    "relation": [int(x) for x in lv.ideal.ring.relation],
                     "pivots": [list(p) for p in lv.ideal.pivots],
                     "rows": [[int(x) for x in row] for row in lv.ideal.rows],
                 },

@@ -18,8 +18,9 @@ a failure would mean an inconsistent embedding and must never happen.
 
 from __future__ import annotations
 
+import logging
 import os
-import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,8 @@ _NUMPY_LIMIT = 1 << 31          # int64 products of two residues stay exact
 _FLOAT_LIMIT = 1 << 50          # float-corrected path is exact below this
 
 CACHE_VERSION = "greenberg-logcache v1 (X-basis coefficients)"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -289,11 +292,18 @@ def _record_line(f: int, n: int, rec: PrimeLogRecord) -> str:
 
 def store_records(cache_dir: str | Path, f: int, n: int,
                   records: dict[int, PrimeLogRecord]) -> Path:
+    """Write the (f, n) cache file: a temporary file renamed over it, so an
+    interrupted store leaves the previous file (or none), never part of one."""
     path = cache_path(cache_dir, f, n)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {CACHE_VERSION}"]
     lines += [_record_line(f, n, records[r]) for r in sorted(records)]
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -327,11 +337,14 @@ def load_records(cache_dir: str | Path, f: int, n: int
     return records, warnings
 
 
-def get_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
-                cache_dir: str | Path | None = None, candidate_offset: int = 0,
-                force_python: bool = False) -> list[PrimeLogRecord]:
-    """Records for the given primes in ascending order, cache-backed.
+def iter_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
+                 cache_dir: str | Path | None = None, candidate_offset: int = 0,
+                 force_python: bool = False) -> Iterator[PrimeLogRecord]:
+    """Records for the given primes in ascending order, computed as they
+    are asked for.
 
+    The cache is read once, before the first record, and written once,
+    when the iteration ends or is closed, if any record was computed.
     Alternative embeddings (candidate_offset != 0) never touch the cache:
     their records are only comparable through the ideals they generate.
     """
@@ -340,20 +353,28 @@ def get_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
     if use_cache:
         cached, warnings = load_records(cache_dir, f, n)
         for w in warnings:
-            print(f"cache warning: {w}", file=sys.stderr)
-    out: list[PrimeLogRecord] = []
+            log.warning("cache warning: %s", w)
     fresh = False
-    for r in sorted(primes):
-        rec = cached.get(r)
-        if rec is None:
-            rec = compute_record(f, n, r, kernel, candidate_offset=candidate_offset,
-                                 force_python=force_python)
-            cached[r] = rec
-            fresh = True
-        out.append(rec)
-    if use_cache and fresh:
-        store_records(cache_dir, f, n, cached)
-    return out
+    try:
+        for r in sorted(primes):
+            rec = cached.get(r)
+            if rec is None:
+                rec = compute_record(f, n, r, kernel, candidate_offset=candidate_offset,
+                                     force_python=force_python)
+                cached[r] = rec
+                fresh = True
+            yield rec
+    finally:
+        if use_cache and fresh:
+            store_records(cache_dir, f, n, cached)
+
+
+def get_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
+                cache_dir: str | Path | None = None, candidate_offset: int = 0,
+                force_python: bool = False) -> list[PrimeLogRecord]:
+    """All records for the given primes, cache-backed (see :func:`iter_records`)."""
+    return list(iter_records(f, n, primes, kernel, cache_dir=cache_dir,
+                             candidate_offset=candidate_offset, force_python=force_python))
 
 
 def default_cache_dir() -> Path | None:

@@ -10,8 +10,16 @@ Two quotient presentations occur:
   * full:    p(T) = (T+1)^(2^n) - 1,        rank 2^n
   * divided: p(T) = ((T+1)^(2^n) - 1) / T,  rank 2^n - 1
 
+Both relations are T^rank mod 2, so T is nilpotent in the ring and
+Weierstrass preparation applies: an element whose lowest odd coefficient
+sits at degree v generates the same ideal as a monic polynomial of degree v.
+An ideal of finite index therefore contains a monic element of small degree,
+and :class:`HowellIdeal` works modulo the lowest one (rank 2-6 on the
+published rows instead of 2^n).
+
 Ring elements are int64 numpy vectors of T-basis coefficients in [0, 2^d).
-All products stay far below 2^63 (coefficients < 2^14, ranks <= 2^13).
+A product sums at most 2^n terms below 2^(2d), exact in int64 while
+n + 2d <= 62: at d = n + 1 that is 3n + 2 <= 62, the levels n <= MAX_LEVEL.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 Vec = np.ndarray
+
+MAX_LEVEL = 20
 
 
 def _binomial_row(N: int, mod: int) -> np.ndarray:
@@ -34,41 +44,58 @@ def _binomial_row(N: int, mod: int) -> np.ndarray:
 
 
 class RingSpec:
-    """Quotient ring data: modulus 2^d, monic relation, reduction table."""
+    """Quotient ring Z/2^d[T]/(relation) for a monic relation of degree ``rank``.
 
-    __slots__ = ("d", "n", "divided", "rank", "modulus", "relation", "_red")
+    ``n`` and ``divided`` name the group-ring presentation, whose relation
+    is the default.  The quotient of that ring by a lower monic element of
+    an ideal (see :class:`HowellIdeal`) keeps both names and passes its own
+    ``relation``.
+    """
 
-    def __init__(self, d: int, n: int, divided: bool):
+    __slots__ = ("d", "n", "divided", "rank", "modulus", "relation", "_tail")
+
+    def __init__(self, d: int, n: int, divided: bool, relation=None):
         if divided and n < 1:
             raise ValueError("divided presentation needs level n >= 1")
+        if n + 2 * d > 62:
+            raise ValueError(f"level {n} over Z/2^{d} overflows int64 products")
         self.d = d
         self.n = n
         self.divided = divided
-        self.rank = (1 << n) - 1 if divided else 1 << n
         self.modulus = 1 << d
-        binom = _binomial_row(1 << n, self.modulus)
-        if divided:
-            # ((T+1)^(2^n) - 1) / T = sum_j C(2^n, j+1) T^j
-            rel = binom[1:].copy()
-        else:
-            rel = binom.copy()
-            rel[0] = 0
-        self.relation = rel  # length rank+1, monic
-        self._red = None
+        if relation is None:
+            binom = _binomial_row(1 << n, self.modulus)
+            # divided: ((T+1)^(2^n) - 1) / T = sum_j C(2^n, j+1) T^j
+            relation = binom[1:] if divided else np.concatenate(([0], binom[1:]))
+        rel = np.asarray(relation, dtype=np.int64) % self.modulus
+        if rel[-1] != 1:
+            raise ValueError("the relation must be monic")
+        self.relation = rel  # length rank+1
+        self.rank = len(rel) - 1
+        self._tail = np.zeros((0, self.rank), dtype=np.int64)
 
-    @property
-    def red(self) -> np.ndarray:
-        """red[t] = T^(rank+t) mod relation, for t < rank-1 (built lazily)."""
-        if self._red is None:
-            rank, mod = self.rank, self.modulus
-            red = np.zeros((max(rank - 1, 1), rank), dtype=np.int64)
-            red[0] = (-self.relation[:rank]) % mod
-            for t in range(1, rank - 1):
-                top = red[t - 1, rank - 1]
-                red[t, 1:] = red[t - 1, :rank - 1]
-                red[t] = (red[t] + top * red[0]) % mod
-            self._red = red
-        return self._red
+    def tail(self, k: int) -> np.ndarray:
+        """Rows T^(rank+t) mod relation for t < k (cached).
+
+        Grown one T-shift at a time up to rank rows, then by doubling: once
+        the powers below L are known, those in [L, 2L) are the known ones
+        times T^L, one matrix product with the rows T^(L+i), i < rank.
+        """
+        t, rank, mod = self._tail, self.rank, self.modulus
+        if not rank:
+            return np.zeros((k, 0), dtype=np.int64)
+        if len(t) < min(k, rank):
+            rows = list(t)
+            x = rows[-1] if rows else np.eye(1, rank, rank - 1, dtype=np.int64)[0]
+            while len(rows) < min(k, rank):
+                x = t_shift(x, self)
+                rows.append(x)
+            t = np.array(rows)
+        while len(t) < k:
+            w = t[-rank:] @ t[:rank] % mod        # T^(L+i), L = rank + len(t)
+            t = np.vstack([t, w, t @ w % mod])
+        self._tail = t
+        return t[:k]
 
     def __repr__(self):
         kind = "divided" if self.divided else "full"
@@ -76,10 +103,11 @@ class RingSpec:
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec)
-                and (self.d, self.n, self.divided) == (other.d, other.n, other.divided))
+                and (self.d, self.n, self.divided) == (other.d, other.n, other.divided)
+                and np.array_equal(self.relation, other.relation))
 
     def __hash__(self):
-        return hash((self.d, self.n, self.divided))
+        return hash((self.d, self.n, self.divided, self.relation.tobytes()))
 
 
 @lru_cache(maxsize=64)
@@ -96,53 +124,53 @@ def zero(spec: RingSpec) -> Vec:
     return np.zeros(spec.rank, dtype=np.int64)
 
 
-def one(spec: RingSpec) -> Vec:
-    v = zero(spec)
-    v[0] = 1 % spec.modulus
-    return v
-
-
 def scalar(c: int, spec: RingSpec) -> Vec:
     v = zero(spec)
-    v[0] = c % spec.modulus
+    if spec.rank:
+        v[0] = c % spec.modulus
     return v
+
+
+def one(spec: RingSpec) -> Vec:
+    return scalar(1, spec)
+
+
+def reduce_poly(v, spec: RingSpec) -> np.ndarray:
+    """Remainder modulo the monic relation of coefficient vectors of any
+    length (along the last axis, so a matrix reduces row by row)."""
+    v = np.asarray(v, dtype=np.int64) % spec.modulus
+    rank, extra = spec.rank, v.shape[-1] - spec.rank
+    if extra <= 0:
+        out = np.zeros(v.shape[:-1] + (rank,), dtype=np.int64)
+        out[..., :v.shape[-1]] = v
+        return out
+    return (v[..., :rank] + v[..., rank:] @ spec.tail(extra)) % spec.modulus
 
 
 def from_coeffs(seq, spec: RingSpec) -> Vec:
     """Ring element from ascending T-coefficients of any degree."""
-    v = np.asarray(list(seq), dtype=np.int64) % spec.modulus
-    if len(v) <= spec.rank:
-        out = zero(spec)
-        out[:len(v)] = v
-        return out
-    return _reduce_long(v, spec)
-
-
-def _reduce_long(v: Vec, spec: RingSpec) -> Vec:
-    """Synthetic division of an arbitrary-degree vector by the monic relation."""
-    v = v.copy()
-    rank, mod = spec.rank, spec.modulus
-    rel = spec.relation[:rank]
-    for j in range(len(v) - 1, rank - 1, -1):
-        c = v[j]
-        if c:
-            v[j] = 0
-            v[j - rank:j] = (v[j - rank:j] - c * rel) % mod
-    return v[:rank]
+    return reduce_poly(list(seq), spec)
 
 
 def poly_mul_mod(a: Vec, b: Vec, spec: RingSpec) -> Vec:
     """Product in the quotient ring: schoolbook convolution, then the
-    precomputed tail-reduction (relation is monic)."""
-    c = np.convolve(a, b) % spec.modulus
-    if len(c) <= spec.rank:
-        out = zero(spec)
-        out[:len(c)] = c
-        return out
-    head = c[:spec.rank].copy()
-    tail = c[spec.rank:]
-    head = (head + tail @ spec.red[:len(tail)]) % spec.modulus
-    return head
+    cached tail reduction (relation is monic)."""
+    if not spec.rank:
+        return zero(spec)
+    return reduce_poly(np.convolve(a, b), spec)
+
+
+def power_table(x: Vec, count: int, spec: RingSpec) -> np.ndarray:
+    """Rows x^i for i < count, by doubling: once the powers below L are
+    known, those in [L, 2L) are the known ones times x^L, one product with
+    the matrix whose rows are T^j x^L, j < rank."""
+    if not spec.rank:
+        return np.zeros((count, 0), dtype=np.int64)
+    t = one(spec)[None, :]
+    while len(t) < count:
+        xl = poly_mul_mod(t[-1], x, spec)
+        t = np.vstack([t, t @ np.array(_shifts(xl, spec)) % spec.modulus])
+    return t[:count]
 
 
 def t_shift(a: Vec, spec: RingSpec) -> Vec:
@@ -152,7 +180,7 @@ def t_shift(a: Vec, spec: RingSpec) -> Vec:
     out[1:] = a[:-1]
     top = a[spec.rank - 1]
     if top:
-        out = (out + top * spec.red[0]) % spec.modulus
+        out = (out - top * spec.relation[:spec.rank]) % spec.modulus
     return out
 
 
@@ -163,9 +191,7 @@ def norm_element(m: int, spec: RingSpec) -> Vec:
     acc = one(spec)
     sq = from_coeffs([1, 1], spec)  # T + 1
     for _ in range(m):
-        term = sq.copy()
-        term[0] = (term[0] + 1) % spec.modulus
-        acc = poly_mul_mod(acc, term, spec)
+        acc = poly_mul_mod(acc, (sq + one(spec)) % spec.modulus, spec)
         sq = poly_mul_mod(sq, sq, spec)
     return acc
 
@@ -291,75 +317,180 @@ def howell_form(rows, d: int, rank: int) -> tuple[np.ndarray, list[tuple[int, in
     return R[order], [pivots[i] for i in order]
 
 
+def _series_inverse(u: Vec, k: int, mod: int) -> Vec:
+    """w with u*w = 1 mod T^k, for u with an odd constant term (Newton:
+    w <- w (2 - u w) doubles the precision)."""
+    w = np.array([pow(int(u[0]), -1, mod)], dtype=np.int64)
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        e = -np.convolve(u[:prec], w)[:prec] % mod
+        e[0] += 2
+        w = np.convolve(w, e)[:prec] % mod
+    return w
+
+
+def weierstrass_polynomial(r: Vec, d: int) -> Vec:
+    """The monic P of degree v with (P) = (r) in Z/2^d[[T]], where v is the
+    lowest degree at which r has an odd coefficient (Weierstrass
+    preparation; Washington, Introduction to Cyclotomic Fields, Thm 7.3).
+
+    Write r = alpha + T^v U, with alpha of degree < v and all even and U a
+    unit.  P = T^v - h for h the remainder of T^v modulo r: starting from
+    h = T^v, each step rewrites the part T^v S of h as S U^-1 (r - alpha),
+    i.e. h <- low_v(h) - shift_v(h) U^-1 alpha.  alpha is even, so the part
+    of degree >= v vanishes after at most d steps.  Series are cut at
+    T^((d+2)v): a term beyond it needs more than d steps, hence more than d
+    factors alpha, to reach a degree below v.  In the quotient rings T is
+    nilpotent, so P is r times a unit there too.
+    """
+    mod = 1 << d
+    r = np.asarray(r, dtype=np.int64) % mod
+    v = int(np.flatnonzero(r & 1)[0])
+    if v == 0:
+        return np.ones(1, dtype=np.int64)
+    k = (d + 2) * v
+    u = np.zeros(k, dtype=np.int64)
+    top = r[v:v + k]
+    u[:len(top)] = top
+    c = np.convolve(_series_inverse(u, k, mod), r[:v])[:k] % mod   # U^-1 alpha
+    h = np.zeros(k, dtype=np.int64)
+    h[v] = 1
+    for _ in range(d + 1):
+        if not h[v:].any():
+            break
+        prod = np.convolve(h[v:], c)[:k]
+        h[v:] = 0
+        h[:len(prod)] = (h[:len(prod)] - prod) % mod
+    assert not h[v:].any(), "Weierstrass division failed to converge"
+    return np.append(-h[:v] % mod, 1)
+
+
+def _row_reduce(v: Vec, rows: np.ndarray, pivots: list[tuple[int, int]], mod: int) -> Vec:
+    """Canonical remainder of v against Howell rows (top degree down)."""
+    for (col, e), row in zip(reversed(pivots), reversed(rows)):
+        t = int(v[col]) >> e
+        if t:
+            v = (v - t * row) % mod
+    return v
+
+
+def _shifts(v: Vec, ring: RingSpec) -> list[Vec]:
+    """v, Tv, ..., T^(rank-1) v: spans the ideal (v) of the ring."""
+    out = [v]
+    for _ in range(ring.rank - 1):
+        out.append(t_shift(out[-1], ring))
+    return out
+
+
 class HowellIdeal:
-    """An ideal of the quotient ring, held in canonical Howell form.
+    """An ideal J of the quotient ring ``spec``, held modulo its lowest
+    monic element.
+
+    ``ring`` is Z/2^d[T]/(M), for M the lowest-degree monic polynomial in
+    the lift of J to Z/2^d[T]; until J has one below the relation, M is the
+    relation and ``ring`` is ``spec``.  ``rows`` and ``pivots`` are the
+    Howell form of J/(M) in rank deg M, and M's lower part is reduced
+    against them, so the pair is canonical.  No row has a unit pivot: it
+    would be a lower monic element.  By the Howell property the rank-2^n
+    Howell rows of J at degrees below deg M are exactly these rows, and
+    those at degrees >= deg M are the unit-pivot multiples T^j M; so index,
+    membership and generators read off the pair as off the full form.
 
     Immutable by convention: ``insert`` returns a new ideal (or ``self``
     when the element was already a member, the cheap and common path).
     """
 
-    __slots__ = ("spec", "rows", "pivots")
+    __slots__ = ("spec", "ring", "rows", "pivots")
 
-    def __init__(self, spec: RingSpec, rows: np.ndarray, pivots: list[tuple[int, int]]):
+    def __init__(self, spec: RingSpec, ring: RingSpec, rows: np.ndarray,
+                 pivots: list[tuple[int, int]]):
         self.spec = spec
+        self.ring = ring
         self.rows = rows
         self.pivots = pivots
 
     @classmethod
     def empty(cls, spec: RingSpec) -> "HowellIdeal":
-        return cls(spec, np.zeros((0, spec.rank), dtype=np.int64), [])
+        return cls(spec, spec, np.zeros((0, spec.rank), dtype=np.int64), [])
 
     @classmethod
     def from_generators(cls, spec: RingSpec, gens) -> "HowellIdeal":
+        """Ideal generated by coefficient sequences of any degree.  Those with
+        an odd coefficient go first: their Weierstrass polynomial drops the
+        rank before the others are inserted."""
+        vecs = [np.asarray(g, dtype=np.int64) % spec.modulus for g in gens]
         ideal = cls.empty(spec)
-        for g in gens:
-            ideal = ideal.insert(from_coeffs(g, spec))
+        for g in sorted(vecs, key=lambda g: not (g & 1).any()):
+            ideal = ideal.insert(g)
         return ideal
 
     def reduce_vec(self, v: Vec) -> Vec:
-        """Canonical remainder of v against the Howell rows (top degree down)."""
-        mod = self.spec.modulus
-        v = v.copy() % mod
-        for (col, e), row in zip(reversed(self.pivots), reversed(self.rows)):
-            t = int(v[col]) >> e
-            if t:
-                v = (v - t * row) % mod
-        return v
+        """Canonical remainder of v (any length): reduced modulo M, then
+        against the Howell rows."""
+        return _row_reduce(reduce_poly(v, self.ring), self.rows, self.pivots,
+                           self.ring.modulus)
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce_vec(v).any()
 
     def contains_ideal(self, other: "HowellIdeal") -> bool:
-        return all(self.contains(row) for row in other.rows)
+        return (self.contains(other.ring.relation)
+                and all(self.contains(row) for row in other.rows))
 
     def insert(self, g: Vec) -> "HowellIdeal":
         """Ideal generated by self and g (all T-shifts of g are adjoined)."""
-        rem = self.reduce_vec(g)
-        if not rem.any():
+        r = self.reduce_vec(g)
+        if not r.any():
             return self
-        shifts = [rem]
-        for _ in range(self.spec.rank - 1):
-            shifts.append(t_shift(shifts[-1], self.spec))
-        stack = np.vstack([self.rows] + [np.asarray(shifts)])
-        rows, pivots = howell_form(stack, self.spec.d, self.spec.rank)
-        return HowellIdeal(self.spec, rows, pivots)
+        ring = self.ring
+        if (r & 1).any():
+            # (r) = (P) for a monic P of degree below deg M: J/(P) is spanned
+            # by the old rows and the ideal (M), both read modulo P
+            ring = RingSpec(ring.d, ring.n, ring.divided,
+                            relation=weierstrass_polynomial(r, ring.d))
+            if not ring.rank:
+                return HowellIdeal(self.spec, ring, np.zeros((0, 0), dtype=np.int64), [])
+            stack = [reduce_poly(self.rows, ring)] + _shifts(
+                reduce_poly(self.ring.relation, ring), ring)
+        else:
+            stack = [self.rows] + _shifts(r, ring)
+        return self._rebuilt(ring, np.vstack(stack))
+
+    def _rebuilt(self, ring: RingSpec, stack: np.ndarray) -> "HowellIdeal":
+        """Howell form of ``stack`` in ``ring``, with M's lower part reduced
+        against the rows.
+
+        No pivot can be a unit, since every stacked vector is even: the rows
+        are, and so are the shifts of an even r, and M taken modulo a P of
+        lower degree (both are powers of T mod 2).
+        """
+        rows, pivots = howell_form(stack, ring.d, ring.rank)
+        assert all(e for _, e in pivots), "unit pivot below the lowest monic element"
+        low = ring.relation[:ring.rank]
+        reduced = _row_reduce(low, rows, pivots, ring.modulus)
+        if not np.array_equal(reduced, low):
+            ring = RingSpec(ring.d, ring.n, ring.divided, relation=np.append(reduced, 1))
+        return HowellIdeal(self.spec, ring, rows, pivots)
 
     def log2_index(self) -> int:
         """log2 of the index of the ideal in the quotient ring."""
         pivot_cols = {col for col, _ in self.pivots}
-        free = self.spec.rank - len(pivot_cols)
+        free = self.ring.rank - len(pivot_cols)
         return free * self.spec.d + sum(e for _, e in self.pivots)
 
     def __eq__(self, other):
         return (isinstance(other, HowellIdeal) and self.spec == other.spec
+                and self.ring == other.ring
                 and self.rows.shape == other.rows.shape
                 and bool(np.array_equal(self.rows, other.rows)))
 
     def __hash__(self):
-        return hash((self.spec, self.rows.tobytes()))
+        return hash((self.spec, self.ring, self.rows.tobytes()))
 
     def __repr__(self):
-        return f"HowellIdeal({self.spec}, log2_index={self.log2_index()})"
+        return (f"HowellIdeal({self.spec}, monic degree {self.ring.rank}, "
+                f"log2_index={self.log2_index()})")
 
 
 def mutual_membership(a: HowellIdeal, b: HowellIdeal) -> bool:
@@ -390,18 +521,18 @@ class ReportedIdeal:
 def canonical_generators(ideal: HowellIdeal) -> ReportedIdeal:
     """Minimal strong generating set of the lifted Z_2[T]-ideal.
 
-    Walking T-degrees upward, keep exactly the rows where the pivot
-    2-valuation strictly drops; degree 0 contributes 2^d when no pivot sits
-    there, and the (reduced) relation polynomial closes the list at degree
-    rank when every in-ring pivot valuation is positive.  T-shifts and
-    2-power multiples of the kept rows regenerate all skipped strata, so the
-    list generates; strictness makes it minimal.
+    Walking T-degrees upward below deg M, keep exactly the rows where the
+    pivot 2-valuation strictly drops; degree 0 contributes 2^d when no
+    pivot sits there, and M (the reduced relation while J has no lower
+    monic element) closes the list.  T-shifts and 2-power multiples of the
+    kept rows regenerate all skipped strata, so the list generates;
+    strictness makes it minimal.
     """
-    spec = ideal.spec
+    spec, ring = ideal.spec, ideal.ring
     pivot_map = {col: (e, row) for (col, e), row in zip(ideal.pivots, ideal.rows)}
     gens: list[tuple[int, ...]] = []
     v_prev = spec.d + 1
-    for col in range(spec.rank):
+    for col in range(ring.rank):
         if col in pivot_map:
             e, row = pivot_map[col]
             if e < v_prev:
@@ -410,9 +541,7 @@ def canonical_generators(ideal: HowellIdeal) -> ReportedIdeal:
         elif col == 0:
             gens.append((spec.modulus,))
             v_prev = spec.d
-    if v_prev > 0:
-        rem = ideal.reduce_vec(spec.relation[:spec.rank].copy())
-        gens.append(tuple(int(x) for x in rem) + (1,))
+    gens.append(tuple(int(x) for x in ring.relation))
     reported = ReportedIdeal(generators=tuple(gens), log2_index=ideal.log2_index(),
                              d=spec.d, n=spec.n, divided=spec.divided)
     regen = HowellIdeal.from_generators(spec, reported.generators)

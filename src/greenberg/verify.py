@@ -17,12 +17,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from greenberg.cyclo_logs import (PrimeLogRecord, default_cache_dir, find_split_primes,
-                                  get_records)
+                                  get_records, iter_records)
 from greenberg.group_ring import (HowellIdeal, ReportedIdeal, RingSpec, Vec,
                                   canonical_generators, divide_by_aug, divided_spec,
                                   from_coeffs, full_spec, norm_element, poly_mul_mod,
-                                  scalar)
+                                  power_table, scalar, to_T_basis)
 from greenberg.quadratic import (GATE_EXCLUDED, GATE_TRIVIAL, KernelSet, QuadFieldInfo,
                                  character_kernel, class_number)
 
@@ -120,6 +122,24 @@ def build_pair_functionals_nonsplit(records: list[PrimeLogRecord],
     return out
 
 
+def _x_basis_values(rec: PrimeLogRecord, mod: int) -> tuple[Vec, Vec]:
+    """eta and beta/T of a record in the X-basis (X = T + 1).  beta has
+    augmentation 0, so beta/T = sum_i beta_i (X^i - 1)/(X - 1): coefficient
+    j is the sum of beta_i over i > j (the quotient divide_by_aug takes)."""
+    eta = np.asarray(rec.eta.to_X().coeffs, dtype=np.int64) % mod
+    beta = np.asarray(rec.beta.to_X().coeffs, dtype=np.int64)
+    quot = np.zeros_like(beta)
+    quot[:-1] = np.cumsum(beta[:0:-1])[::-1] % mod
+    return eta, quot
+
+
+def _cyclic_mul(a: Vec, b: Vec, mod: int) -> Vec:
+    """Product in Z/2^d[X]/(X^N - 1)."""
+    c = np.convolve(a, b) % mod
+    c[:len(a) - 1] += c[len(a):]
+    return c[:len(a)] % mod
+
+
 class _SplitAccumulator:
     """Incremental two-stage construction for f = 1 mod 8.
 
@@ -187,47 +207,63 @@ def build_pair_functionals_split(records: list[PrimeLogRecord], spec_full: RingS
 
 def run_level(f: int, n: int, config: RunConfig,
               kernel: KernelSet | None = None) -> LevelResult:
-    """Accumulate the level-n ideal from config.primes auxiliary primes."""
+    """Accumulate the level-n ideal from config.primes auxiliary primes.
+
+    Non-split pairs are formed in the ideal's own ring Z/2^d[T]/(M): each
+    eta and beta/T is reduced modulo M once, through the table of
+    (T+1)^i mod M, and a product that changes by a multiple of M, which
+    lies in J, generates the same ideal.
+    """
     t0 = time.perf_counter()
     kernel = kernel or character_kernel(f)
     split = _split_case(f)
     spec_full = full_spec(n)
     spec = divided_spec(n) if split else spec_full
     ideal = HowellIdeal.empty(spec)
-    cache_dir = config.resolved_cache_dir()
-
-    budget = config.primes * (_ADAPTIVE_CAP if config.adaptive else 1)
-    primes = find_split_primes(f, n, budget)
-    if not config.adaptive:
-        primes = primes[:config.primes]
-    records = get_records(f, n, primes[:config.primes], kernel, cache_dir=cache_dir,
-                          candidate_offset=config.candidate_offset,
-                          force_python=config.force_python)
+    fetch = dict(cache_dir=config.resolved_cache_dir(),
+                 candidate_offset=config.candidate_offset, force_python=config.force_python)
+    if config.adaptive:
+        # records are computed as the level asks for them, with one cache
+        # read and at most one write for the whole level
+        records = iter_records(f, n, find_split_primes(f, n, config.primes * _ADAPTIVE_CAP),
+                               kernel, **fetch)
+    else:
+        records = get_records(f, n, find_split_primes(f, n, config.primes), kernel, **fetch)
     acc = _SplitAccumulator(spec_full, spec, spec_full.d) if split else None
+    mod, rank = spec_full.modulus, spec_full.rank
+    etas_x: list[Vec] = []
+    quots_x: list[Vec] = []
+    ring = None          # the ring etas and quots are reduced in, once M drops
     etas: list[Vec] = []
     quots: list[Vec] = []
 
     used: list[int] = []
     trailing_noops = 0
     quiet_primes = 0
-    for count, r in enumerate(primes, start=1):
-        if count <= len(records):
-            rec = records[count - 1]
-        else:
-            rec = get_records(f, n, [r], kernel, cache_dir=cache_dir,
-                              candidate_offset=config.candidate_offset,
-                              force_python=config.force_python)[0]
-        used.append(r)
+    for count, rec in enumerate(records, start=1):
+        used.append(rec.r)
         if split:
             gs = acc.add_prime(rec)
         else:
-            eta = from_coeffs(rec.eta.to_T().coeffs, spec_full)
-            q = divide_by_aug(from_coeffs(rec.beta.to_T().coeffs, spec_full), spec_full)
-            gs = [(poly_mul_mod(q, etas[j], spec_full)
-                   - poly_mul_mod(quots[j], eta, spec_full)) % spec_full.modulus
-                  for j in range(len(etas))]
-            etas.append(eta)
-            quots.append(q)
+            eta_x, q_x = _x_basis_values(rec, mod)
+            if ideal.ring.rank == rank:
+                # no monic element below the relation yet: pair in
+                # Z/2^d[X]/(X^N - 1), where reduction is a fold
+                gs = [to_T_basis((_cyclic_mul(q_x, e, mod) - _cyclic_mul(qj, eta_x, mod)) % mod,
+                                 mod) for e, qj in zip(etas_x, quots_x)]
+            else:
+                if ideal.ring is not ring:
+                    ring = ideal.ring
+                    xpow = power_table(from_coeffs((1, 1), ring), rank, ring)
+                    etas = [e @ xpow % mod for e in etas_x]
+                    quots = [q @ xpow % mod for q in quots_x]
+                eta, q = eta_x @ xpow % mod, q_x @ xpow % mod
+                gs = [(poly_mul_mod(q, e, ring) - poly_mul_mod(qj, eta, ring)) % mod
+                      for e, qj in zip(etas, quots)]
+                etas.append(eta)
+                quots.append(q)
+            etas_x.append(eta_x)
+            quots_x.append(q_x)
         grew = False
         for g in gs:
             new_ideal = ideal.insert(g)
@@ -240,6 +276,8 @@ def run_level(f: int, n: int, config: RunConfig,
         quiet_primes = 0 if grew or count < 2 else quiet_primes + 1
         if config.adaptive and quiet_primes >= _ADAPTIVE_QUIET:
             break
+    if config.adaptive:
+        records.close()
     return LevelResult(n=n, ideal=ideal, primes_used=tuple(used),
                        stabilized_after=trailing_noops,
                        seconds=time.perf_counter() - t0)
@@ -256,22 +294,22 @@ def check_termination(level: LevelResult, info: QuadFieldInfo) -> str | None:
     """
     m = level.n
     ideal = level.ideal
-    spec = ideal.spec
+    ring = ideal.ring    # membership in J is membership in J/(M)
     if _split_case(info.f):
         if m < info.m0:
             return None
-        if not ideal.contains(scalar(1 << (m - info.m0), spec)):
+        if not ideal.contains(scalar(1 << (m - info.m0), ring)):
             return None
         if ideal.log2_index() < m:
             return CRITERION_CARDINALITY
-        if ideal.contains(norm_element(m - 1, spec)):
+        if ideal.contains(norm_element(m - 1, ring)):
             return CRITERION_NORM
         return None
-    if not ideal.contains(scalar(1 << m, spec)):
+    if not ideal.contains(scalar(1 << m, ring)):
         return None
     if ideal.log2_index() < m + info.m0:
         return CRITERION_CARDINALITY
-    if ideal.contains(norm_element(m - 1, spec)):
+    if ideal.contains(norm_element(m - 1, ring)):
         return CRITERION_NORM
     return None
 
@@ -284,7 +322,7 @@ def _n0_sweep(ideal: HowellIdeal) -> int:
     """
     spec = ideal.spec
     for t in range(0, spec.n + spec.d + 1):
-        if ideal.contains(norm_element(t, spec)):
+        if ideal.contains(norm_element(t, ideal.ring)):
             return t
     raise AssertionError("norm-element sweep failed to terminate")
 
@@ -292,11 +330,7 @@ def _n0_sweep(ideal: HowellIdeal) -> int:
 def _down_projection_ok(reported: ReportedIdeal, prev: LevelResult) -> bool:
     """Diagnostic: the reported ideal, read one level down, sits inside the
     previously computed ideal.  Recorded, not asserted (not a theorem)."""
-    spec_prev = prev.ideal.spec
-    for gen in reported.generators:
-        if not prev.ideal.contains(from_coeffs(gen, spec_prev)):
-            return False
-    return True
+    return all(prev.ideal.contains(gen) for gen in reported.generators)
 
 
 def verify(f: int, config: RunConfig | None = None) -> VerificationReport:

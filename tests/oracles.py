@@ -4,8 +4,9 @@ Each deliberately takes a different route than the implementation it
 audits: trial division vs Miller-Rabin, Euler's criterion vs the binary
 Kronecker algorithm, the analytic class number formula vs form-cycle
 counting, explicit fundamental units vs period parity, exhaustive module
-enumeration vs Howell reduction, and the cyclotomic-norm square identity
-vs the eta product formula.
+enumeration vs Howell reduction, the full-rank Howell engine vs the ideal
+engine that works modulo the lowest monic element, and the
+cyclotomic-norm square identity vs the eta product formula.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ from __future__ import annotations
 import math
 from math import isqrt
 
+import numpy as np
+
 from greenberg.finite_field import FieldContext, dlog_two_power, factorize
+from greenberg.group_ring import (RingSpec, from_coeffs, howell_form, norm_element,
+                                  t_shift)
 from greenberg.quadratic import KernelSet
 
 
@@ -149,6 +154,78 @@ def enumerate_span(rows: list[tuple[int, ...]], d: int, rank: int) -> frozenset:
         span = {tuple((b + c * r) % mod for b, r in zip(base, row))
                 for base in span for c in range(mod)}
     return frozenset(span)
+
+
+class FullRankIdeal:
+    """An ideal of Z/2^d[T]/(p) as the Howell form of its full T-shift
+    closure in rank 2^n: every insertion runs Howell on the old rows plus
+    all rank T-shifts of the new element."""
+
+    def __init__(self, spec: RingSpec, rows=None, pivots=()):
+        self.spec = spec
+        self.rows = np.zeros((0, spec.rank), dtype=np.int64) if rows is None else rows
+        self.pivots = list(pivots)
+
+    @classmethod
+    def from_generators(cls, spec: RingSpec, gens) -> "FullRankIdeal":
+        ideal = cls(spec)
+        for g in gens:
+            ideal = ideal.insert(from_coeffs(g, spec))
+        return ideal
+
+    def reduce_vec(self, v):
+        mod = self.spec.modulus
+        v = np.asarray(v, dtype=np.int64) % mod
+        for (col, e), row in zip(reversed(self.pivots), reversed(self.rows)):
+            t = int(v[col]) >> e
+            if t:
+                v = (v - t * row) % mod
+        return v
+
+    def contains(self, v) -> bool:
+        return not self.reduce_vec(v).any()
+
+    def insert(self, g) -> "FullRankIdeal":
+        rem = self.reduce_vec(g)
+        if not rem.any():
+            return self
+        shifts = [rem]
+        for _ in range(self.spec.rank - 1):
+            shifts.append(t_shift(shifts[-1], self.spec))
+        rows, pivots = howell_form(np.vstack([self.rows] + shifts), self.spec.d,
+                                   self.spec.rank)
+        return FullRankIdeal(self.spec, rows, pivots)
+
+    def log2_index(self) -> int:
+        free = self.spec.rank - len({col for col, _ in self.pivots})
+        return free * self.spec.d + sum(e for _, e in self.pivots)
+
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Strict descents of the pivot valuation, 2^d when degree 0 has no
+        pivot, and the reduced relation when no pivot is a unit."""
+        spec = self.spec
+        pivot_map = {col: (e, row) for (col, e), row in zip(self.pivots, self.rows)}
+        gens = []
+        v_prev = spec.d + 1
+        for col in range(spec.rank):
+            if col in pivot_map:
+                e, row = pivot_map[col]
+                if e < v_prev:
+                    gens.append(tuple(int(x) for x in np.trim_zeros(row, "b")))
+                    v_prev = e
+            elif col == 0:
+                gens.append((spec.modulus,))
+                v_prev = spec.d
+        if v_prev > 0:
+            rem = self.reduce_vec(spec.relation[:spec.rank])
+            gens.append(tuple(int(x) for x in rem) + (1,))
+        return tuple(gens)
+
+    def n0(self) -> int:
+        """Least t with the level-t norm element in the ideal."""
+        spec = self.spec
+        return next(t for t in range(spec.n + spec.d + 1)
+                    if self.contains(norm_element(t, spec)))
 
 
 def eta_square_log(ctx: FieldContext, kernel: KernelSet, i: int) -> int:

@@ -3,6 +3,8 @@ import io
 import json
 
 from greenberg.cli import main
+from greenberg.group_ring import (HowellIdeal, RingSpec, canonical_generators,
+                                  divided_spec, full_spec, poly_str)
 
 
 def _run(capsys, *argv):
@@ -47,6 +49,16 @@ class TestVerifyCommand:
         code, _, _ = _run(capsys, "verify", "--f", "949", "--bogus")
         assert code == 1
 
+    def test_max_level_bounds(self, capsys):
+        # int64 products stay exact to level 20; outside [1, 20] is a usage error
+        for bad in ("0", "21"):
+            code, _, err = _run(capsys, "verify", "--f", "949", "--max-level", bad)
+            assert code == 1, bad
+            assert "usage:" in err and "--max-level" in err
+        for ok in ("1", "20"):
+            code, _, _ = _run(capsys, "verify", "--f", "949", "--max-level", ok)
+            assert code in (0, 2), ok
+
 
 class TestFormats:
     def test_json_deterministic_and_complete(self, capsys):
@@ -57,9 +69,28 @@ class TestFormats:
         doc = json.loads(out1)
         assert doc["f"] == 85 and doc["n0"] == 2
         assert doc["generators"] == ["2", "T^2"]
-        # full per-level Howell data is embedded for auditing
+        # per-level Howell data (M and the rows modulo M) is embedded for auditing
         assert doc["levels"][0]["howell"]["rows"]
         assert doc["levels"][0]["howell"]["spec"]["divided"] is False
+
+    def test_json_howell_blocks_rebuild_each_level(self, capsys):
+        # a reader rebuilds each level's ideal from its block alone: the
+        # rows and the monic M generate it, and the rows sit at rank deg M
+        for f in (949, 1217):          # 1217 = 1 mod 8: the divided presentation
+            code, out, _ = _run(capsys, "verify", "--f", str(f), "--format", "json")
+            assert code == 0
+            for level in json.loads(out)["levels"]:
+                block = level["howell"]
+                spec = (divided_spec if block["spec"]["divided"] else full_spec)(
+                    block["spec"]["n"], d=block["spec"]["d"])
+                rank = len(block["relation"]) - 1
+                assert block["relation"][-1] == 1
+                assert all(len(row) == rank for row in block["rows"])
+                rebuilt = HowellIdeal.from_generators(spec, [block["relation"]] + block["rows"])
+                assert rebuilt.ring == RingSpec(spec.d, spec.n, spec.divided,
+                                                relation=block["relation"])
+                assert [poly_str(g) for g in canonical_generators(rebuilt).generators] \
+                    == level["generators"], (f, level["n"])
 
     def test_csv_deterministic_and_round_trips(self, capsys):
         code, out1, _ = _run(capsys, "table", "--min", "85", "--max", "91",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,26 @@ class TestCache:
         p.write_text(body)
         loaded, warnings = load_records(tmp_path, 21, 1)
         assert loaded == {} and "version mismatch" in warnings[0]
+
+    def test_interrupted_store_never_read(self, tmp_path, monkeypatch):
+        recs = self._records(21, 1, 3)
+        store_records(tmp_path, 21, 1, {r: recs[r] for r in sorted(recs)[:1]})
+        before = cache_path(tmp_path, 21, 1).read_text()
+
+        def write_half(path, text):
+            with open(path, "w") as fh:
+                fh.write(text[:len(text) // 2])
+            raise KeyboardInterrupt("store interrupted")
+
+        monkeypatch.setattr(Path, "write_text", write_half)
+        with pytest.raises(KeyboardInterrupt):
+            store_records(tmp_path, 21, 1, recs)
+        monkeypatch.undo()
+        # the previous file is untouched and no partial file is left behind
+        assert cache_path(tmp_path, 21, 1).read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["logs_21_1.txt"]
+        loaded, warnings = load_records(tmp_path, 21, 1)
+        assert warnings == [] and list(loaded) == sorted(recs)[:1]
 
     def test_get_records_uses_cache(self, tmp_path):
         from greenberg.cyclo_logs import get_records

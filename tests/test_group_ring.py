@@ -7,8 +7,9 @@ from greenberg.group_ring import (HowellIdeal, canonical_generators, divide_by_a
                                   divided_spec, from_coeffs, full_spec, howell_form,
                                   mutual_membership, norm_element, one, parse_poly,
                                   poly_mul_mod, poly_str, scalar, t_shift, to_T_basis,
-                                  to_X_basis, zero)
-from oracles import enumerate_span
+                                  to_X_basis, weierstrass_polynomial, zero)
+from greenberg.verify import _n0_sweep
+from oracles import FullRankIdeal, enumerate_span
 
 
 def _shift_closure(spec, gens):
@@ -154,8 +155,9 @@ class TestHowellIdeal:
         for _ in range(10):
             g = from_coeffs([rng.randrange(spec.modulus) for _ in range(spec.rank)], spec)
             ideal = HowellIdeal.empty(spec).insert(g)
+            # rows live in the ideal's own ring Z/2^d[T]/(M), rank deg M
             for row in ideal.rows:
-                assert ideal.contains(t_shift(row, spec))
+                assert ideal.contains(t_shift(row, ideal.ring))
 
     def test_reduction_idempotent(self, rng):
         spec = full_spec(2)
@@ -234,6 +236,67 @@ class TestCanonicalGenerators:
             rep = canonical_generators(ideal)   # asserts regeneration internally
             regen = HowellIdeal.from_generators(spec, rep.generators)
             assert mutual_membership(regen, ideal)
+
+
+@st.composite
+def _ring_case(draw, gens, probes=0):
+    """A ring of either presentation at n <= 4 with d in {n+1, n+3}, 1 to
+    ``gens`` generators and up to ``probes`` further vectors.  Coefficients
+    get random 2-valuations, so the lowest odd degree (and with it the
+    monic degree) varies."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from((n + 1, n + 3)))
+    spec = (divided_spec if draw(st.booleans()) else full_spec)(n, d=d)
+    coeff = st.builds(lambda c, s: (c << s) % spec.modulus,
+                      st.integers(0, spec.modulus - 1), st.integers(0, d))
+    vec = st.lists(coeff, min_size=spec.rank, max_size=spec.rank).map(
+        lambda c: np.array(c, dtype=np.int64))
+    return (spec, draw(st.lists(vec, min_size=1, max_size=gens)),
+            draw(st.lists(vec, max_size=probes)))
+
+
+class TestAgainstFullRankOracle:
+    """The ideal engine, held modulo its lowest monic element, against the
+    rank-2^n Howell engine it replaced."""
+
+    @given(_ring_case(gens=6, probes=4))
+    @settings(max_examples=150, deadline=None)
+    def test_engine_matches_oracle(self, case):
+        spec, gens, probes = case
+        ideal, oracle = HowellIdeal.empty(spec), FullRankIdeal(spec)
+        for g in gens:
+            grown = ideal.insert(g)
+            assert (grown is ideal) == oracle.contains(g)
+            ideal, oracle = grown, oracle.insert(g)
+        # the small rows are the full-rank rows below deg M; the full-rank
+        # row at deg M (when M is not the relation) is M itself
+        m = ideal.ring.rank
+        low = [i for i, (col, _) in enumerate(oracle.pivots) if col < m]
+        assert ideal.pivots == [oracle.pivots[i] for i in low]
+        assert np.array_equal(ideal.rows, oracle.rows[low, :m])
+        if m < spec.rank:
+            row = oracle.rows[oracle.pivots.index((m, 0))]
+            assert np.array_equal(row[:m + 1], ideal.ring.relation)
+        assert canonical_generators(ideal).generators == oracle.generators()
+        assert ideal.log2_index() == oracle.log2_index()
+        assert _n0_sweep(ideal) == oracle.n0()
+        # random vectors, the same shifted by a member, and the members' rows
+        members = [(v + oracle.rows[i % len(oracle.rows)]) % spec.modulus
+                   for i, v in enumerate(probes)] if len(oracle.rows) else []
+        for v in probes + members + list(oracle.rows):
+            assert ideal.contains(v) == oracle.contains(v)
+
+    @given(_ring_case(gens=1))
+    @settings(max_examples=150, deadline=None)
+    def test_weierstrass_step(self, case):
+        spec, (r,), _ = case
+        r[-1] |= 1      # at least one odd coefficient
+        v = int(np.flatnonzero(r & 1)[0])
+        P = weierstrass_polynomial(r, spec.d)
+        assert len(P) == v + 1 and P[-1] == 1
+        assert not (P[:-1] & 1).any()
+        assert FullRankIdeal.from_generators(spec, [r]).contains(from_coeffs(P, spec))
+        assert FullRankIdeal.from_generators(spec, [P]).contains(r)
 
 
 class TestPolyText:

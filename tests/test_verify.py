@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from greenberg.cyclo_logs import LogPoly, PrimeLogRecord, compute_record, find_split_primes
+from greenberg.cyclo_logs import (LogPoly, PrimeLogRecord, compute_record, find_split_primes,
+                                  get_records)
 from greenberg.group_ring import (HowellIdeal, divided_spec, from_coeffs, full_spec,
                                   mutual_membership, scalar)
 from greenberg.quadratic import character_kernel, class_number
@@ -47,6 +48,23 @@ class TestPairFunctionalsNonsplit:
         rec = _synthetic_record(1, 2, (2, 3), (0, 3), r=1)
         gs = build_pair_functionals_nonsplit([rec, rec], spec)
         assert len(gs) == 1 and not gs[0].any()
+
+
+class TestRunLevelAgainstFullRankPairs:
+    """run_level pairs modulo the ideal's monic element, in the X-basis until
+    there is one; the reference builds every pair at full rank in the T-basis."""
+
+    @pytest.mark.parametrize("f, n", [(85, 2), (645, 3), (949, 3), (1605, 4)])
+    def test_same_ideal_and_tail_noops(self, f, n):
+        level = run_level(f, n, RunConfig(primes=8))
+        records = get_records(f, n, find_split_primes(f, n, 8), character_kernel(f))
+        ideal, noops = HowellIdeal.empty(full_spec(n)), 0
+        for g in build_pair_functionals_nonsplit(records, full_spec(n)):
+            grown = ideal.insert(g)
+            noops = noops + 1 if grown is ideal else 0
+            ideal = grown
+        assert level.ideal == ideal
+        assert level.stabilized_after == noops
 
 
 class TestPairFunctionalsSplit:
@@ -190,6 +208,22 @@ class TestVerify:
         adaptive = verify(85, RunConfig(primes=15, adaptive=True))
         assert adaptive.m == fixed.m
         assert mutual_membership(adaptive.levels[-1].ideal, fixed.levels[-1].ideal)
+
+    def test_adaptive_level_reads_and_writes_cache_once(self, tmp_path, monkeypatch):
+        import greenberg.cyclo_logs as cyclo_logs
+        calls = {"load_records": 0, "store_records": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(cyclo_logs, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cyclo_logs, name, counted)
+        config = RunConfig(primes=4, adaptive=True, cache_dir=tmp_path)
+        cold = run_level(85, 2, config)
+        assert len(cold.primes_used) > 4
+        assert calls == {"load_records": 1, "store_records": 1}
+        warm = run_level(85, 2, config)
+        assert warm.primes_used == cold.primes_used
+        assert calls == {"load_records": 2, "store_records": 1}
 
     def test_cache_round_trip_same_report(self, tmp_path):
         a = verify(85, RunConfig(primes=10, cache_dir=tmp_path))
