@@ -1,9 +1,10 @@
 """Command-line front end: single verifications, table sweeps, cache admin.
 
 Exit codes: 0 for terminated/trivial outcomes, 2 when a run is unresolved
-at the level cap, 1 for usage errors.  The csv and json formats are
-byte-identical across runs with the same configuration; timings appear only
-in the human-readable markdown output.
+at the level cap, 1 for usage errors and for a table sweep whose worker
+raised (the failing radicand is named on stderr).  The csv and json
+formats are byte-identical across runs with the same configuration;
+timings appear only in the human-readable markdown output.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from greenberg.verify import RunConfig, VerificationReport, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
+EXIT_ERROR = 1      # a verification raised in a --jobs worker
 EXIT_UNRESOLVED = 2
 
 
@@ -262,11 +264,6 @@ def table_markdown(reps: list[VerificationReport]) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-def _verify_worker(payload: tuple) -> VerificationReport:
-    f, cfg_kwargs = payload
-    return verify(f, RunConfig(**cfg_kwargs))
-
-
 def cmd_verify(args) -> int:
     f = args.f
     if f < 3 or f % 2 == 0 or not is_squarefree(f):
@@ -294,11 +291,16 @@ def cmd_table(args) -> int:
               f"{' ...' if len(skipped) > 20 else ''}", file=sys.stderr)
     cfg = _config(args)
     if args.jobs > 1 and len(fs) > 1:
-        cfg_kwargs = dict(primes=cfg.primes, max_level=cfg.max_level,
-                          adaptive=cfg.adaptive,
-                          cache_dir=None if cfg.cache_dir is None else str(cfg.cache_dir))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reps = list(pool.map(_verify_worker, [(f, cfg_kwargs) for f in fs]))
+            jobs = [(f, pool.submit(verify, f, cfg)) for f in fs]
+            reps = []
+            for f, job in jobs:
+                try:
+                    reps.append(job.result())
+                except Exception as exc:
+                    pool.shutdown(cancel_futures=True)
+                    print(f"error: f={f}: {exc}", file=sys.stderr)
+                    return EXIT_ERROR
     else:
         reps = [verify(f, cfg) for f in fs]
     reps.sort(key=lambda r: r.f)

@@ -147,8 +147,7 @@ def _zeta_f_table(ctx: FieldContext) -> list[int]:
     return tab
 
 
-def log_poly_eta(ctx: FieldContext, kernel: KernelSet, *,
-                 force_python: bool = False) -> LogPoly:
+def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
     """Coefficients of f_r^eta: one kernel product per conjugate.
 
     Coefficient i is the discrete log of
@@ -167,7 +166,7 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet, *,
     ksize = len(kernel.residues)
     tab = _zeta_f_table(ctx)
 
-    use_numpy = r < _FLOAT_LIMIT and not force_python
+    use_numpy = r < _FLOAT_LIMIT
     if use_numpy:
         idx = np.asarray(kernel.residues, dtype=np.int64)
         zk = np.asarray(tab, dtype=np.int64)[idx]
@@ -264,11 +263,10 @@ def log_scalar_delta(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int
 
 
 def compute_record(f: int, n: int, r: int, kernel: KernelSet, *,
-                   k: int | None = None, candidate_offset: int = 0,
-                   force_python: bool = False) -> PrimeLogRecord:
+                   k: int | None = None, candidate_offset: int = 0) -> PrimeLogRecord:
     """All log data for one auxiliary prime, under one shared embedding."""
     ctx = build_field_context(r, n, f, k=k, candidate_offset=candidate_offset)
-    eta = log_poly_eta(ctx, kernel, force_python=force_python)
+    eta = log_poly_eta(ctx, kernel)
     beta = log_poly_beta(ctx)
     delta = None
     if f % 8 == 1:
@@ -338,8 +336,8 @@ def load_records(cache_dir: str | Path, f: int, n: int
 
 
 def iter_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
-                 cache_dir: str | Path | None = None, candidate_offset: int = 0,
-                 force_python: bool = False) -> Iterator[PrimeLogRecord]:
+                 cache_dir: str | Path | None = None,
+                 candidate_offset: int = 0) -> Iterator[PrimeLogRecord]:
     """Records for the given primes in ascending order, computed as they
     are asked for.
 
@@ -359,8 +357,7 @@ def iter_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
         for r in sorted(primes):
             rec = cached.get(r)
             if rec is None:
-                rec = compute_record(f, n, r, kernel, candidate_offset=candidate_offset,
-                                     force_python=force_python)
+                rec = compute_record(f, n, r, kernel, candidate_offset=candidate_offset)
                 cached[r] = rec
                 fresh = True
             yield rec
@@ -370,11 +367,11 @@ def iter_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
 
 
 def get_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
-                cache_dir: str | Path | None = None, candidate_offset: int = 0,
-                force_python: bool = False) -> list[PrimeLogRecord]:
+                cache_dir: str | Path | None = None,
+                candidate_offset: int = 0) -> list[PrimeLogRecord]:
     """All records for the given primes, cache-backed (see :func:`iter_records`)."""
     return list(iter_records(f, n, primes, kernel, cache_dir=cache_dir,
-                             candidate_offset=candidate_offset, force_python=force_python))
+                             candidate_offset=candidate_offset))
 
 
 def default_cache_dir() -> Path | None:

@@ -196,28 +196,6 @@ def norm_element(m: int, spec: RingSpec) -> Vec:
     return acc
 
 
-def divide_by_aug(p: Vec, spec: RingSpec, out_spec: RingSpec | None = None) -> Vec:
-    """Canonical quotient q with T*q = p, for p in the augmentation ideal.
-
-    In the T-basis the augmentation condition is simply a zero constant term
-    (coefficients are the least nonnegative lift), so division is an exact
-    left shift.  Quotients are only defined up to the annihilator of T; this
-    canonical representative is the one fixed throughout.
-    """
-    if p[0] % spec.modulus != 0:
-        raise ValueError("element is not in the augmentation ideal")
-    target = spec if out_spec is None else out_spec
-    out = np.zeros(target.rank, dtype=np.int64)
-    k = min(spec.rank - 1, target.rank)
-    out[:k] = p[1:k + 1] % target.modulus
-    return out
-
-
-def aug_value(p: Vec, spec: RingSpec) -> int:
-    """Evaluation at the group identity (T = 0)."""
-    return int(p[0]) % spec.modulus
-
-
 def to_T_basis(xcoeffs, mod: int) -> np.ndarray:
     """Substitute X = T + 1 (Horner); pure polynomial identity, no reduction."""
     a = np.asarray(list(xcoeffs), dtype=np.int64)

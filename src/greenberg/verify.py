@@ -6,9 +6,13 @@ on eta generate an ideal J_n annihilating the dual of the level-n module.
 Two termination criteria (a quotient-cardinality bound and a norm-element
 membership) certify that the tower has stabilized; either ends the run.
 
-f = 1 mod 8 (2 split) uses a two-stage pair construction and the T-divided
-quotient presentation; otherwise the single-stage construction and the full
-group-ring quotient.
+One pairing path serves both cases; only the functionals differ.  For
+f = 1 mod 8 (2 split) the functionals are the h-combinations of the
+primes, which vanish on the delta family, and J_n lives in the T-divided
+presentation, so the pairings are divided by T; otherwise each prime is
+its own functional and J_n lives in the full group ring.  Pairs are formed
+modulo the ideal's lowest monic element M, cyclically in the X-basis while
+M still has the relation's degree.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import numpy as np
 from greenberg.cyclo_logs import (PrimeLogRecord, default_cache_dir, find_split_primes,
                                   get_records, iter_records)
 from greenberg.group_ring import (HowellIdeal, ReportedIdeal, RingSpec, Vec,
-                                  canonical_generators, divide_by_aug, divided_spec,
-                                  from_coeffs, full_spec, norm_element, poly_mul_mod,
-                                  power_table, scalar, to_T_basis)
+                                  canonical_generators, divided_spec, from_coeffs, full_spec,
+                                  norm_element, poly_mul_mod, power_table, reduce_poly, scalar,
+                                  to_T_basis)
 from greenberg.quadratic import (GATE_EXCLUDED, GATE_TRIVIAL, KernelSet, QuadFieldInfo,
                                  character_kernel, class_number)
 
@@ -45,7 +49,6 @@ class RunConfig:
     adaptive: bool = False
     cache_dir: str | Path | None = None
     candidate_offset: int = 0     # alternative root-of-unity sweep (invariance checks)
-    force_python: bool = False    # disable the vectorized field arithmetic
 
     def resolved_cache_dir(self) -> Path | None:
         if self.cache_dir is not None:
@@ -101,36 +104,14 @@ def _split_case(f: int) -> bool:
     return f % 8 == 1
 
 
-def _record_vectors(records: list[PrimeLogRecord], spec: RingSpec
-                    ) -> tuple[list[Vec], list[Vec]]:
-    etas = [from_coeffs(rec.eta.to_T().coeffs, spec) for rec in records]
-    betas = [from_coeffs(rec.beta.to_T().coeffs, spec) for rec in records]
-    return etas, betas
-
-
-def build_pair_functionals_nonsplit(records: list[PrimeLogRecord],
-                                    spec: RingSpec) -> list[Vec]:
-    """g_(i,j) = (f_ri(beta)/T) f_rj(eta) - (f_rj(beta)/T) f_ri(eta), j < i."""
-    etas, betas = _record_vectors(records, spec)
-    quots = [divide_by_aug(b, spec) for b in betas]
-    out = []
-    for i in range(len(records)):
-        for j in range(i):
-            g = (poly_mul_mod(quots[i], etas[j], spec)
-                 - poly_mul_mod(quots[j], etas[i], spec)) % spec.modulus
-            out.append(g)
+def _over_T(v: Vec, mod: int) -> Vec:
+    """v/T for an X-basis vector v of augmentation 0 (X = T + 1): then
+    v = sum_i v_i (X^i - 1), so coefficient j of v/(X - 1) is the sum of
+    v_i over i > j."""
+    assert v.sum() % mod == 0, "only the augmentation ideal divides by T"
+    out = np.zeros_like(v)
+    out[:-1] = np.cumsum(v[:0:-1])[::-1] % mod
     return out
-
-
-def _x_basis_values(rec: PrimeLogRecord, mod: int) -> tuple[Vec, Vec]:
-    """eta and beta/T of a record in the X-basis (X = T + 1).  beta has
-    augmentation 0, so beta/T = sum_i beta_i (X^i - 1)/(X - 1): coefficient
-    j is the sum of beta_i over i > j (the quotient divide_by_aug takes)."""
-    eta = np.asarray(rec.eta.to_X().coeffs, dtype=np.int64) % mod
-    beta = np.asarray(rec.beta.to_X().coeffs, dtype=np.int64)
-    quot = np.zeros_like(beta)
-    quot[:-1] = np.cumsum(beta[:0:-1])[::-1] % mod
-    return eta, quot
 
 
 def _cyclic_mul(a: Vec, b: Vec, mod: int) -> Vec:
@@ -140,88 +121,93 @@ def _cyclic_mul(a: Vec, b: Vec, mod: int) -> Vec:
     return c[:len(a)] % mod
 
 
-class _SplitAccumulator:
-    """Incremental two-stage construction for f = 1 mod 8.
+class PairAccumulator:
+    """The pair functionals of one level, fed one prime at a time, and the
+    g-vectors their pairings contribute to J_n.
 
-    Stage one combines delta scalars into functionals h vanishing on delta;
-    stage two pairs the h's exactly like the non-split construction and
-    divides the eta-values by T into the divided presentation.
+    A functional is a pair (e, q) of X-basis vectors: its value on eta,
+    divided by T^s, and its value on beta, divided by T (s = 1 in the
+    divided presentation, 0 in the full one).  Non-split, each prime is one
+    functional.  Split, the delta family comes first: each new prime i
+    combines with every earlier j into h = a rec_i - b rec_j, with a and b
+    the delta scalars c_j, c_i stripped of their common 2-power, so h
+    vanishes on delta and h(eta) lies in the augmentation ideal.  Each new
+    functional is paired with every registered one:
+    g = q_new e_old - q_old e_new, which is the pairing divided by T^s.
+
+    g is formed in the ideal's ring Z/2^d[T]/(M).  While M has the
+    relation's degree, the product is a cyclic convolution modulo
+    X^N - 1, which is T^s times the relation, then reduced modulo M; once
+    M drops, e and q are reduced once through the table of (T+1)^i mod M
+    and paired at rank deg M.  A product that changes by a multiple of M
+    or of the relation, both in J, generates the same ideal.
     """
 
-    def __init__(self, spec_full: RingSpec, spec_div: RingSpec, k: int):
-        self.spec_full = spec_full
-        self.spec_div = spec_div
-        self.k = k
-        self.etas: list[Vec] = []
-        self.betas: list[Vec] = []
-        self.deltas: list[int] = []
-        self.h_eta: list[Vec] = []
-        self.h_quot: list[Vec] = []   # divide_by_aug of h(beta)
+    def __init__(self, spec: RingSpec):
+        self.spec = spec
+        self.records: list[tuple[Vec, Vec, int]] = []     # split: eta, beta, delta
+        self.functionals: list[tuple[Vec, Vec]] = []
+        # once M drops: its ring, the table of (T+1)^i mod M, and every
+        # functional reduced through that table
+        self._ring: RingSpec | None = None
+        self._xpow: np.ndarray | None = None
+        self._reduced: list[tuple[Vec, Vec]] = []
 
-    def add_prime(self, rec: PrimeLogRecord) -> list[Vec]:
-        """Returns the new divided g-vectors contributed by this prime."""
-        spec = self.spec_full
-        eta = from_coeffs(rec.eta.to_T().coeffs, spec)
-        beta = from_coeffs(rec.beta.to_T().coeffs, spec)
-        assert rec.delta_scalar is not None
-        i = len(self.etas)
-        self.etas.append(eta)
-        self.betas.append(beta)
-        self.deltas.append(rec.delta_scalar % (1 << self.k))
-
+    def add_prime(self, rec: PrimeLogRecord, ring: RingSpec) -> list[Vec]:
+        """The g-vectors this prime contributes, as elements of ``ring``,
+        the ideal's ring Z/2^d[T]/(M)."""
+        mod = self.spec.modulus
+        eta = np.asarray(rec.eta.to_X().coeffs, dtype=np.int64) % mod
+        beta = np.asarray(rec.beta.to_X().coeffs, dtype=np.int64) % mod
+        if not self.spec.divided:
+            new = [(eta, _over_T(beta, mod))]
+        else:
+            assert rec.delta_scalar is not None
+            c = rec.delta_scalar % mod
+            new = []
+            for eta_j, beta_j, c_j in self.records:
+                if c_j == 0 and c == 0:
+                    continue
+                s = min((x & -x).bit_length() - 1 for x in (c_j, c) if x)
+                a, b = c_j >> s, c >> s
+                new.append((_over_T((a * eta - b * eta_j) % mod, mod),
+                            _over_T((a * beta - b * beta_j) % mod, mod)))
+            self.records.append((eta, beta, c))
         gs: list[Vec] = []
-        for j in range(i):
-            cj, ci = self.deltas[j], self.deltas[i]
-            if cj == 0 and ci == 0:
-                continue
-            s = min(_v2_capped(cj, self.k), _v2_capped(ci, self.k))
-            a, b = cj >> s, ci >> s
-            h_eta = (a * self.etas[i] - b * self.etas[j]) % spec.modulus
-            h_beta = (a * self.betas[i] - b * self.betas[j]) % spec.modulus
-            assert h_eta[0] % spec.modulus == 0, "h(eta) must lie in the augmentation ideal"
-            q_new = divide_by_aug(h_beta, spec)
-            # pair the fresh functional with every registered one
-            for e_old, q_old in zip(self.h_eta, self.h_quot):
-                g = (poly_mul_mod(q_old, h_eta, spec)
-                     - poly_mul_mod(q_new, e_old, spec)) % spec.modulus
-                gs.append(divide_by_aug(g, spec, self.spec_div))
-            self.h_eta.append(h_eta)
-            self.h_quot.append(q_new)
+        for e, q in new:
+            gs.extend(self._pair(e, q, ring))
+            self.functionals.append((e, q))
         return gs
 
-
-def _v2_capped(c: int, k: int) -> int:
-    if c == 0:
-        return k
-    return min((c & -c).bit_length() - 1, k)
-
-
-def build_pair_functionals_split(records: list[PrimeLogRecord], spec_full: RingSpec,
-                                 spec_div: RingSpec) -> list[Vec]:
-    acc = _SplitAccumulator(spec_full, spec_div, spec_full.d)
-    out: list[Vec] = []
-    for rec in records:
-        out.extend(acc.add_prime(rec))
-    return out
+    def _pair(self, e: Vec, q: Vec, ring: RingSpec) -> list[Vec]:
+        mod = ring.modulus
+        if ring.rank == self.spec.rank:
+            return [reduce_poly(to_T_basis((_cyclic_mul(q, e_old, mod)
+                                            - _cyclic_mul(q_old, e, mod)) % mod, mod), ring)
+                    for e_old, q_old in self.functionals]
+        if ring is not self._ring:
+            self._ring = ring
+            self._xpow = power_table(from_coeffs((1, 1), ring), len(e), ring)
+            self._reduced = [(e_old @ self._xpow % mod, q_old @ self._xpow % mod)
+                             for e_old, q_old in self.functionals]
+        e, q = e @ self._xpow % mod, q @ self._xpow % mod
+        gs = [(poly_mul_mod(q, e_old, ring) - poly_mul_mod(q_old, e, ring)) % mod
+              for e_old, q_old in self._reduced]
+        self._reduced.append((e, q))
+        return gs
 
 
 def run_level(f: int, n: int, config: RunConfig,
               kernel: KernelSet | None = None) -> LevelResult:
-    """Accumulate the level-n ideal from config.primes auxiliary primes.
-
-    Non-split pairs are formed in the ideal's own ring Z/2^d[T]/(M): each
-    eta and beta/T is reduced modulo M once, through the table of
-    (T+1)^i mod M, and a product that changes by a multiple of M, which
-    lies in J, generates the same ideal.
-    """
+    """Accumulate the level-n ideal from config.primes auxiliary primes,
+    pairing each prime's functionals modulo the ideal's monic element (see
+    :class:`PairAccumulator`)."""
     t0 = time.perf_counter()
     kernel = kernel or character_kernel(f)
-    split = _split_case(f)
-    spec_full = full_spec(n)
-    spec = divided_spec(n) if split else spec_full
+    spec = divided_spec(n) if _split_case(f) else full_spec(n)
     ideal = HowellIdeal.empty(spec)
     fetch = dict(cache_dir=config.resolved_cache_dir(),
-                 candidate_offset=config.candidate_offset, force_python=config.force_python)
+                 candidate_offset=config.candidate_offset)
     if config.adaptive:
         # records are computed as the level asks for them, with one cache
         # read and at most one write for the whole level
@@ -229,41 +215,14 @@ def run_level(f: int, n: int, config: RunConfig,
                                kernel, **fetch)
     else:
         records = get_records(f, n, find_split_primes(f, n, config.primes), kernel, **fetch)
-    acc = _SplitAccumulator(spec_full, spec, spec_full.d) if split else None
-    mod, rank = spec_full.modulus, spec_full.rank
-    etas_x: list[Vec] = []
-    quots_x: list[Vec] = []
-    ring = None          # the ring etas and quots are reduced in, once M drops
-    etas: list[Vec] = []
-    quots: list[Vec] = []
+    pairs = PairAccumulator(spec)
 
     used: list[int] = []
     trailing_noops = 0
     quiet_primes = 0
     for count, rec in enumerate(records, start=1):
         used.append(rec.r)
-        if split:
-            gs = acc.add_prime(rec)
-        else:
-            eta_x, q_x = _x_basis_values(rec, mod)
-            if ideal.ring.rank == rank:
-                # no monic element below the relation yet: pair in
-                # Z/2^d[X]/(X^N - 1), where reduction is a fold
-                gs = [to_T_basis((_cyclic_mul(q_x, e, mod) - _cyclic_mul(qj, eta_x, mod)) % mod,
-                                 mod) for e, qj in zip(etas_x, quots_x)]
-            else:
-                if ideal.ring is not ring:
-                    ring = ideal.ring
-                    xpow = power_table(from_coeffs((1, 1), ring), rank, ring)
-                    etas = [e @ xpow % mod for e in etas_x]
-                    quots = [q @ xpow % mod for q in quots_x]
-                eta, q = eta_x @ xpow % mod, q_x @ xpow % mod
-                gs = [(poly_mul_mod(q, e, ring) - poly_mul_mod(qj, eta, ring)) % mod
-                      for e, qj in zip(etas, quots)]
-                etas.append(eta)
-                quots.append(q)
-            etas_x.append(eta_x)
-            quots_x.append(q_x)
+        gs = pairs.add_prime(rec, ideal.ring)
         grew = False
         for g in gs:
             new_ideal = ideal.insert(g)

@@ -5,7 +5,8 @@ audits: trial division vs Miller-Rabin, Euler's criterion vs the binary
 Kronecker algorithm, the analytic class number formula vs form-cycle
 counting, explicit fundamental units vs period parity, exhaustive module
 enumeration vs Howell reduction, the full-rank Howell engine vs the ideal
-engine that works modulo the lowest monic element, and the
+engine that works modulo the lowest monic element, full-rank T-basis pair
+functionals vs the pairing modulo that element in the X-basis, and the
 cyclotomic-norm square identity vs the eta product formula.
 """
 
@@ -17,8 +18,8 @@ from math import isqrt
 import numpy as np
 
 from greenberg.finite_field import FieldContext, dlog_two_power, factorize
-from greenberg.group_ring import (RingSpec, from_coeffs, howell_form, norm_element,
-                                  t_shift)
+from greenberg.group_ring import (RingSpec, Vec, from_coeffs, full_spec, howell_form,
+                                  norm_element, poly_mul_mod, t_shift)
 from greenberg.quadratic import KernelSet
 
 
@@ -226,6 +227,62 @@ class FullRankIdeal:
         spec = self.spec
         return next(t for t in range(spec.n + spec.d + 1)
                     if self.contains(norm_element(t, spec)))
+
+
+# ---------------------------------------------------------------------------
+# pair functionals at full rank in the T-basis
+
+def divide_by_aug(p: Vec, spec: RingSpec, out_spec: RingSpec | None = None) -> Vec:
+    """Canonical quotient q with T*q = p, for p in the augmentation ideal.
+
+    In the T-basis the augmentation condition is simply a zero constant term
+    (coefficients are the least nonnegative lift), so division is an exact
+    left shift.  Quotients are only defined up to the annihilator of T; this
+    canonical representative is the one fixed throughout.
+    """
+    if p[0] % spec.modulus != 0:
+        raise ValueError("element is not in the augmentation ideal")
+    target = spec if out_spec is None else out_spec
+    out = np.zeros(target.rank, dtype=np.int64)
+    k = min(spec.rank - 1, target.rank)
+    out[:k] = p[1:k + 1] % target.modulus
+    return out
+
+
+def full_rank_pair_functionals(records, spec: RingSpec) -> list[Vec]:
+    """Every g-vector of a level, in the order the production pairing forms
+    them, each product taken at rank 2^n in the T-basis.
+
+    Non-split (``spec`` full): each record gives the functional (eta,
+    beta/T).  Split (``spec`` divided): each record i combines with every
+    earlier j into h = a rec_i - b rec_j, with a = c_j / 2^s and
+    b = c_i / 2^s for the delta scalars c and s their lowest 2-valuation.
+    Each new functional pairs with every earlier one as
+    g = q_new e_old - q_old e_new, divided by T into ``spec`` when split.
+    """
+    full = full_spec(spec.n, spec.d)
+    mod = full.modulus
+    seen, funcs, out = [], [], []
+    for rec in records:
+        eta = from_coeffs(rec.eta.to_T().coeffs, full)
+        quot = divide_by_aug(from_coeffs(rec.beta.to_T().coeffs, full), full)
+        if spec.divided:
+            c = rec.delta_scalar % mod
+            new = []
+            for eta_j, quot_j, c_j in seen:
+                if c_j or c:
+                    s = min((x & -x).bit_length() - 1 for x in (c_j, c) if x)
+                    a, b = c_j >> s, c >> s
+                    new.append(((a * eta - b * eta_j) % mod, (a * quot - b * quot_j) % mod))
+            seen.append((eta, quot, c))
+        else:
+            new = [(eta, quot)]
+        for e, q in new:
+            for e_old, q_old in funcs:
+                g = (poly_mul_mod(q, e_old, full) - poly_mul_mod(q_old, e, full)) % mod
+                out.append(divide_by_aug(g, full, spec) if spec.divided else g)
+            funcs.append((e, q))
+    return out
 
 
 def eta_square_log(ctx: FieldContext, kernel: KernelSet, i: int) -> int:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 
@@ -142,6 +143,23 @@ class TestTableCommand:
                                   "--format", "csv", "--jobs", "2")
         assert code == code2 == 0
         assert serial == parallel
+
+    def test_parallel_worker_error_names_radicand(self, capsys, monkeypatch):
+        # pool workers fork after the patch, so they inherit it (the package
+        # binds the name verify to the function, hence the module lookup)
+        verify_module = importlib.import_module("greenberg.verify")
+        real = verify_module.run_level
+
+        def failing(f, *args, **kwargs):
+            if f == 87:
+                raise RuntimeError("injected failure")
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "run_level", failing)
+        code, _, err = _run(capsys, "table", "--min", "85", "--max", "89",
+                            "--format", "csv", "--jobs", "2")
+        assert code == 1
+        assert "error: f=87: injected failure" in err
 
 
 class TestCacheCommand:

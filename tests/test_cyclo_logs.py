@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from greenberg import cyclo_logs
 from greenberg.cyclo_logs import (CACHE_VERSION, LogPoly, cache_path, compute_record,
                                   find_split_primes, load_records, log_poly_beta,
                                   log_poly_eta, log_scalar_delta, store_records,
@@ -109,7 +110,9 @@ class TestEta:
             ctx = build_field_context(r, n, f)
             log_poly_eta(ctx, character_kernel(f))
 
-    def test_numpy_and_python_paths_agree(self, rng, runnable_radicands):
+    def test_numpy_and_python_paths_agree(self, rng, runnable_radicands, monkeypatch):
+        # the paths switch on r alone: lowering the limits sends small r
+        # down the float-corrected products and the scalar loop
         for _ in range(8):
             f = rng.choice(runnable_radicands)
             n = rng.randrange(0, 3)
@@ -117,8 +120,13 @@ class TestEta:
             ker = character_kernel(f)
             ctx = build_field_context(r, n, f)
             fast = log_poly_eta(ctx, ker)
-            slow = log_poly_eta(ctx, ker, force_python=True)
-            assert fast == slow
+            with monkeypatch.context() as m:
+                m.setattr(cyclo_logs, "_NUMPY_LIMIT", 0)
+                float_corrected = log_poly_eta(ctx, ker)
+            with monkeypatch.context() as m:
+                m.setattr(cyclo_logs, "_FLOAT_LIMIT", 0)
+                slow = log_poly_eta(ctx, ker)
+            assert fast == float_corrected == slow
 
     def test_norm_compatibility_collapse(self, rng, runnable_radicands):
         # level-m coefficients are partial sums of level-n coefficients when

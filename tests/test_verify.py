@@ -6,9 +6,8 @@ from greenberg.cyclo_logs import (LogPoly, PrimeLogRecord, compute_record, find_
 from greenberg.group_ring import (HowellIdeal, divided_spec, from_coeffs, full_spec,
                                   mutual_membership, scalar)
 from greenberg.quadratic import character_kernel, class_number
-from greenberg.verify import (RunConfig, build_pair_functionals_nonsplit,
-                              build_pair_functionals_split, check_termination,
-                              run_level, verify)
+from greenberg.verify import PairAccumulator, RunConfig, check_termination, run_level, verify
+from oracles import full_rank_pair_functionals
 
 
 def _synthetic_record(n, k, eta_t, beta_t, delta=None, r=0):
@@ -16,6 +15,13 @@ def _synthetic_record(n, k, eta_t, beta_t, delta=None, r=0):
     eta = LogPoly(n, k, "T", tuple(eta_t)).to_X()
     beta = LogPoly(n, k, "T", tuple(beta_t)).to_X()
     return PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
+
+
+def _pairs(records, spec):
+    """Every g-vector the production pairing forms for these records, in
+    the presentation ``spec`` (full or divided)."""
+    acc = PairAccumulator(spec)
+    return [g for rec in records for g in acc.add_prime(rec, spec)]
 
 
 class TestPairFunctionalsNonsplit:
@@ -28,7 +34,7 @@ class TestPairFunctionalsNonsplit:
         spec = full_spec(1)
         recs = [_synthetic_record(1, 2, (0, 1), (0, 3), r=22777),
                 _synthetic_record(1, 2, (2, 2), (0, 2), r=68329)]
-        gs = build_pair_functionals_nonsplit(recs, spec)
+        gs = _pairs(recs, spec)
         assert len(gs) == 1
         assert list(gs[0]) == [2, 0]
 
@@ -38,7 +44,7 @@ class TestPairFunctionalsNonsplit:
         recs = [_synthetic_record(1, 2, e, b, r=r)
                 for r, (e, b) in sorted(self.TABLE.items())]
         ideal = HowellIdeal.empty(spec)
-        for g in build_pair_functionals_nonsplit(recs, spec):
+        for g in _pairs(recs, spec):
             ideal = ideal.insert(g)
         expected = HowellIdeal.from_generators(spec, [(2,)])
         assert mutual_membership(ideal, expected)
@@ -46,20 +52,24 @@ class TestPairFunctionalsNonsplit:
     def test_equal_records_give_zero(self):
         spec = full_spec(1)
         rec = _synthetic_record(1, 2, (2, 3), (0, 3), r=1)
-        gs = build_pair_functionals_nonsplit([rec, rec], spec)
+        gs = _pairs([rec, rec], spec)
         assert len(gs) == 1 and not gs[0].any()
 
 
 class TestRunLevelAgainstFullRankPairs:
-    """run_level pairs modulo the ideal's monic element, in the X-basis until
-    there is one; the reference builds every pair at full rank in the T-basis."""
+    """run_level pairs modulo the ideal's monic element M, in the X-basis
+    until M drops below the relation, with the split eta-values divided by T
+    first; the reference builds every pair at full rank in the T-basis and
+    divides the split pairs by T afterwards."""
 
-    @pytest.mark.parametrize("f, n", [(85, 2), (645, 3), (949, 3), (1605, 4)])
+    @pytest.mark.parametrize("f, n", [(85, 2), (645, 3), (949, 3), (1605, 4),
+                                      (41, 2), (113, 3), (6817, 2), (6817, 4)])
     def test_same_ideal_and_tail_noops(self, f, n):
         level = run_level(f, n, RunConfig(primes=8))
+        spec = divided_spec(n) if f % 8 == 1 else full_spec(n)
         records = get_records(f, n, find_split_primes(f, n, 8), character_kernel(f))
-        ideal, noops = HowellIdeal.empty(full_spec(n)), 0
-        for g in build_pair_functionals_nonsplit(records, full_spec(n)):
+        ideal, noops = HowellIdeal.empty(spec), 0
+        for g in full_rank_pair_functionals(records, spec):
             grown = ideal.insert(g)
             noops = noops + 1 if grown is ideal else 0
             ideal = grown
@@ -69,26 +79,26 @@ class TestRunLevelAgainstFullRankPairs:
 
 class TestPairFunctionalsSplit:
     def test_zero_delta_pairs_skipped(self):
-        spec_full, spec_div = full_spec(1), divided_spec(1)
+        spec_div = divided_spec(1)
         recs = [_synthetic_record(1, 2, (0, 1), (0, 3), delta=0, r=1),
                 _synthetic_record(1, 2, (0, 3), (0, 1), delta=0, r=2)]
-        gs = build_pair_functionals_split(recs, spec_full, spec_div)
+        gs = _pairs(recs, spec_div)
         assert gs == []
 
     def test_single_h_no_pairs(self):
-        spec_full, spec_div = full_spec(1), divided_spec(1)
+        spec_div = divided_spec(1)
         recs = [_synthetic_record(1, 2, (0, 1), (0, 3), delta=1, r=1),
                 _synthetic_record(1, 2, (0, 3), (0, 1), delta=2, r=2)]
-        gs = build_pair_functionals_split(recs, spec_full, spec_div)
+        gs = _pairs(recs, spec_div)
         assert gs == []  # one h only, no second-stage pair yet
 
     def test_three_primes_produce_pairs(self):
         # eta fixtures have zero augmentation, as the split case guarantees
-        spec_full, spec_div = full_spec(1), divided_spec(1)
+        spec_div = divided_spec(1)
         recs = [_synthetic_record(1, 2, (0, 1), (0, 3), delta=1, r=1),
                 _synthetic_record(1, 2, (0, 3), (0, 1), delta=2, r=2),
                 _synthetic_record(1, 2, (0, 2), (0, 2), delta=3, r=3)]
-        gs = build_pair_functionals_split(recs, spec_full, spec_div)
+        gs = _pairs(recs, spec_div)
         assert len(gs) == 3  # h12; then h13 x h12, h23 x h12, h23 x h13
 
 
@@ -119,7 +129,8 @@ class TestFunctionalVanishing:
     scalars) gives exact zero, because T * (beta/T) recovers beta exactly."""
 
     def test_nonsplit_g_vanishes_on_beta(self):
-        from greenberg.group_ring import divide_by_aug, poly_mul_mod
+        from greenberg.group_ring import poly_mul_mod
+        from oracles import divide_by_aug
         ker = character_kernel(949)
         spec = full_spec(2)
         recs = [compute_record(949, 2, r, ker) for r in find_split_primes(949, 2, 4)]
