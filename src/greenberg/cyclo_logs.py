@@ -7,13 +7,18 @@ mod r.  The three families:
 
   * eta:   products of ker(chi)-conjugates of zeta4 * (zeta_{2^(n+3)} zeta_f
            - their inverses); one product of phi(f)/2 factors per coefficient
-           (the hot loop, vectorized when r fits in int64 arithmetic),
+           (the hot loop).  Each factor is an F_{r^2} root of unity times
+           an element of F_r, so the loop is an F_r product over the kernel,
+           vectorized over all 2^n conjugates, times one F_{r^2} prefactor
+           per conjugate,
   * beta:  a single cyclotomic-unit ratio of 2-power roots per coefficient,
   * delta (only f = 1 mod 8): a G_n-invariant unit, so one scalar c with
            log-polynomial c * (1 + X + ... + X^(2^n - 1)).
 
-Every product is asserted to land in F_r before its discrete log is taken;
-a failure would mean an inconsistent embedding and must never happen.
+eta and beta take their discrete logs as one vector over the conjugates
+(:func:`~greenberg.finite_field.dlog_two_power_vec`).  Every eta product is
+asserted to land in F_r before its discrete log is taken; a failure would
+mean an inconsistent embedding and must never happen.
 """
 
 from __future__ import annotations
@@ -27,13 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from greenberg.finite_field import (FieldContext, build_field_context, dlog_two_power,
-                                    is_prime)
+                                    dlog_two_power_vec, is_prime, mulmod_vec, power_table)
 from greenberg.group_ring import to_T_basis, to_X_basis
 from greenberg.quadratic import KernelSet
 
 PRIME_SWEEP_CAP = 10_000_000
-_NUMPY_LIMIT = 1 << 31          # int64 products of two residues stay exact
-_FLOAT_LIMIT = 1 << 50          # float-corrected path is exact below this
+_BLOCK = 1 << 13                # residues per eta block (kernel rows x conjugates)
 
 CACHE_VERSION = "greenberg-logcache v1 (X-basis coefficients)"
 
@@ -101,50 +105,30 @@ def find_split_primes(f: int, n: int, count: int, *, cap: int = PRIME_SWEEP_CAP)
     return out
 
 
-# ---------------------------------------------------------------------------
-# vectorized F_r / F_{r^2} helpers (numpy fast paths)
-
-def _mulmod(a: np.ndarray, b, r: int) -> np.ndarray:
-    """Exact elementwise a*b mod r for int64 arrays of residues."""
-    if r < _NUMPY_LIMIT:
-        return a * b % r
-    # float-corrected product: the quotient estimate is off by at most a few
-    # ulps, and the int64 wraparound of a*b - q*r equals the exact signed
-    # remainder because |remainder| < 3r < 2^63
-    q = np.floor(a.astype(np.float64) * np.asarray(b, dtype=np.float64) / r).astype(np.int64)
-    rem = a * b - q * r
-    while (rem < 0).any():
-        rem[rem < 0] += r
-    while (rem >= r).any():
-        rem[rem >= r] -= r
-    return rem
-
-
-def _fp2_mul_vec(xa, xb, ya, yb, r: int, q: int):
-    t = _mulmod(xb, yb, r)
-    a = (_mulmod(xa, ya, r) + _mulmod(t, q, r)) % r
-    b = (_mulmod(xa, yb, r) + _mulmod(xb, ya, r)) % r
-    return a, b
-
-
-def _fp2_product(fa: np.ndarray, fb: np.ndarray, r: int, q: int) -> tuple[int, int]:
-    """Product of a vector of F_{r^2} elements by pairwise tree folding."""
-    while len(fa) > 1:
-        m = len(fa) // 2
-        pa, pb = _fp2_mul_vec(fa[:m], fb[:m], fa[m:2 * m], fb[m:2 * m], r, q)
-        if len(fa) % 2:
-            fa = np.concatenate([pa, fa[-1:]])
-            fb = np.concatenate([pb, fb[-1:]])
-        else:
-            fa, fb = pa, pb
-    return int(fa[0]), int(fb[0])
-
-
 def _zeta_f_table(ctx: FieldContext) -> list[int]:
-    tab = [1] * ctx.f
-    for j in range(1, ctx.f):
-        tab[j] = tab[j - 1] * ctx.zeta_f % ctx.r
-    return tab
+    return power_table(ctx.zeta_f, ctx.f, ctx.r).tolist()
+
+
+def _rational_w(ctx: FieldContext) -> int:
+    """w = zeta_{2^(n+3)}^2, of order 2^(n+2), which divides r - 1."""
+    w = ctx.field.mul(ctx.zeta_2n3, ctx.zeta_2n3)
+    assert w[1] == 0, "2^(n+2) root of unity must be rational over F_r"
+    return w[0]
+
+
+def _conjugate_exponents(n: int) -> np.ndarray:
+    """3^i mod 2^(n+3) for the 2^n conjugates i (3 generates G_n)."""
+    mod = 1 << (n + 3)
+    return np.asarray([pow(3, i, mod) for i in range(1 << n)], dtype=np.int64)
+
+
+def _row_product(m: np.ndarray, r: int) -> np.ndarray:
+    """Product mod r of the rows of a 2-d residue array, folded pairwise."""
+    while len(m) > 1:
+        half = len(m) // 2
+        folded = mulmod_vec(m[:half], m[half:2 * half], r)
+        m = np.concatenate([folded, m[2 * half:]]) if len(m) % 2 else folded
+    return m[0]
 
 
 def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
@@ -152,48 +136,40 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
 
     Coefficient i is the discrete log of
 
-        prod_{a in ker} zeta4^(3^i) (zeta_{2^(n+3)}^(3^i) zeta_f^a
-                                     - zeta_{2^(n+3)}^(-3^i) zeta_f^(-a)).
+        prod_{a in ker} zeta4^(3^i) (A_i zeta_f^a - A_i^(-1) zeta_f^(-a)),
 
-    zeta_f and zeta4 are rational over F_r, so the zeta4 power and the
-    zeta_f table factor out; only the 2^(n+3)-root is a genuine F_{r^2}
-    element.  Each full product must be Frobenius-fixed.
+    with A_i = zeta_{2^(n+3)}^(3^i).  Each factor is
+    A_i^(-1) zeta_f^(-a) (w^(3^i) zeta_f^(2a) - 1) with w = A_0^2, and w and
+    zeta_f lie in F_r.  So the product is the prefactor
+
+        zeta4^(3^i |ker|) A_i^(-|ker|) zeta_f^(-sum ker)
+
+    times an F_r product, formed for all 2^n conjugates at once: a block of
+    kernel residues by the 2^n conjugates at a time, each block folded to
+    one vector by pairwise products.  Only the prefactor is an F_{r^2}
+    element, and it must be Frobenius-fixed.
     """
     assert kernel.f == ctx.f, "kernel and context disagree on f"
     gf = ctx.field
-    r, q, n = ctx.r, ctx.q, ctx.n
+    r, n, f = ctx.r, ctx.n, ctx.f
     ord2 = 1 << (n + 3)
     ksize = len(kernel.residues)
-    tab = _zeta_f_table(ctx)
-
-    use_numpy = r < _FLOAT_LIMIT
-    if use_numpy:
-        idx = np.asarray(kernel.residues, dtype=np.int64)
-        zk = np.asarray(tab, dtype=np.int64)[idx]
-        zki = np.asarray(tab, dtype=np.int64)[(ctx.f - idx) % ctx.f]
-
-    coeffs = []
-    for i in range(1 << n):
-        e3 = pow(3, i, ord2)
-        A = gf.pow(ctx.zeta_2n3, e3)
-        Ai = gf.pow(ctx.zeta_2n3, ord2 - e3)
-        if use_numpy:
-            fa = (_mulmod(zk, A[0], r) - _mulmod(zki, Ai[0], r)) % r
-            fb = (_mulmod(zk, A[1], r) - _mulmod(zki, Ai[1], r)) % r
-            pa, pb = _fp2_product(fa, fb, r, q)
-        else:
-            pa, pb = 1, 0
-            for a in kernel.residues:
-                z, zi = tab[a], tab[ctx.f - a]
-                fa = (A[0] * z - Ai[0] * zi) % r
-                fb = (A[1] * z - Ai[1] * zi) % r
-                pa, pb = (pa * fa + q * (pb * fb % r)) % r, (pa * fb + pb * fa) % r
-        z4 = pow(ctx.zeta4, (e3 % 4) * ksize % 4, r)
-        pa = pa * z4 % r
-        pb = pb * z4 % r
-        assert pb == 0 and pa != 0, "eta conjugate product left F_r"
-        coeffs.append(dlog_two_power(pa, ctx))
-    return LogPoly(n=n, k=ctx.k, basis="X", coeffs=tuple(coeffs))
+    # conjugate i's prefactor is the 3^i-th power of conjugate 0's
+    # (A_(i+1) = A_i^3), and an odd power of a 2-power root of unity is
+    # Frobenius-fixed exactly when the root is
+    pre = gf.mul((pow(ctx.zeta4, ksize, r), 0), gf.pow(ctx.zeta_2n3, -ksize % ord2))
+    assert gf.in_base(pre), "eta conjugate product left F_r"
+    e3 = _conjugate_exponents(n)
+    acc = mulmod_vec(power_table(pre[0], ord2, r)[e3],
+                     pow(ctx.zeta_f, -sum(kernel.residues) % f, r), r)
+    wpow = power_table(_rational_w(ctx), ord2 // 2, r)[e3 % (ord2 // 2)]
+    zsq = power_table(ctx.zeta_f ** 2 % r, f, r)[list(kernel.residues)]
+    rows = max(1, _BLOCK >> n)
+    for start in range(0, ksize, rows):
+        factors = (mulmod_vec(zsq[start:start + rows, None], wpow, r) - 1) % r
+        acc = mulmod_vec(acc, _row_product(factors, r), r)
+    coeffs = dlog_two_power_vec(acc, ctx)
+    return LogPoly(n=n, k=ctx.k, basis="X", coeffs=tuple(coeffs.tolist()))
 
 
 def log_poly_beta(ctx: FieldContext) -> LogPoly:
@@ -205,23 +181,19 @@ def log_poly_beta(ctx: FieldContext) -> LogPoly:
             (1 - zeta_{2^(n+2)}^(3^(i+1))) / (1 - zeta_{2^(n+2)}^(3^i)),
 
     with the half-exponent resolved exactly: (3^i - 3^(i+1))/2 = -3^i.
-    All factors are rational over F_r.  The coefficient sum vanishes
-    mod 2^k (the functional kills the norm-compatible unit family).
+    All factors are rational over F_r, and the log of the quotient is the
+    difference of the logs.  The coefficient sum vanishes mod 2^k (the
+    functional kills the norm-compatible unit family).
     """
     r, n = ctx.r, ctx.n
     ord2 = 1 << (n + 2)
-    w = ctx.field.mul(ctx.zeta_2n3, ctx.zeta_2n3)
-    assert w[1] == 0, "2^(n+2) root of unity must be rational over F_r"
-    w = w[0]
-    coeffs = []
-    for i in range(1 << n):
-        e = pow(3, i, ord2)
-        e1 = 3 * e % ord2
-        num = (1 - pow(w, e1, r)) % r
-        den = (1 - pow(w, e, r)) % r
-        val = pow(w, ord2 - e, r) * num % r * pow(den, -1, r) % r
-        coeffs.append(dlog_two_power(val, ctx))
-    poly = LogPoly(n=n, k=ctx.k, basis="X", coeffs=tuple(coeffs))
+    e = _conjugate_exponents(n) % ord2
+    wpow = power_table(_rational_w(ctx), ord2, r)
+    num = mulmod_vec(wpow[-e % ord2], (1 - wpow[3 * e % ord2]) % r, r)
+    den = (1 - wpow[e]) % r
+    logs = dlog_two_power_vec(np.concatenate([num, den]), ctx)
+    coeffs = (logs[:1 << n] - logs[1 << n:]) % (1 << ctx.k)
+    poly = LogPoly(n=n, k=ctx.k, basis="X", coeffs=tuple(coeffs.tolist()))
     assert poly.aug() == 0, "beta lies in the augmentation ideal"
     return poly
 
@@ -307,14 +279,19 @@ def store_records(cache_dir: str | Path, f: int, n: int,
 
 def load_records(cache_dir: str | Path, f: int, n: int
                  ) -> tuple[dict[int, PrimeLogRecord], list[str]]:
-    """Cached records plus a list of warnings for skipped corrupt entries."""
+    """Cached records plus a list of warnings for skipped corrupt entries.
+
+    Lines are split at "\n" only, the separator :func:`store_records`
+    writes, and undecodable bytes become U+FFFD, so each corrupt line is
+    skipped with exactly one warning.
+    """
     path = cache_path(cache_dir, f, n)
     records: dict[int, PrimeLogRecord] = {}
     warnings: list[str] = []
     if not path.exists():
         return records, warnings
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != f"# {CACHE_VERSION}":
+    lines = path.read_bytes().decode("utf-8", errors="replace").split("\n")
+    if lines[0].strip() != f"# {CACHE_VERSION}":
         warnings.append(f"{path}: version mismatch, cache ignored")
         return records, warnings
     k = n + 1

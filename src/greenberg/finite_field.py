@@ -7,17 +7,26 @@ deterministic choice of that element together with the derived roots of
 unity every log-polynomial evaluation needs.  Elements of F_r are plain
 ints in [0, r); elements of F_{r^2} = F_r(sqrt(q)) are (a, b) pairs meaning
 a + b*sqrt(q), with q the smallest positive quadratic nonresidue mod r.
+Only the context's construction and a few prefactors work in F_{r^2}.
 
-Python ints make the 128-bit-intermediate requirement automatic; the hot
-loops elsewhere vectorize with numpy only when r < 2^31 keeps int64
-products exact.
+The log-polynomials are computed on residue vectors: numpy arrays of
+elements of F_r with elementwise products (:func:`mulmod_vec`), powers,
+power tables and 2-power discrete logs (:func:`dlog_two_power_vec`).  The
+array's dtype and r pick the arithmetic, in one code path: int64 products
+for r < 2^31, float-corrected int64 products for r < 2^50, and object
+arrays of Python ints beyond.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 Fp2 = tuple[int, int]
+
+_NUMPY_LIMIT = 1 << 31          # int64 products of two residues stay exact
+_FLOAT_LIMIT = 1 << 50          # float-corrected int64 products are exact below this
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10^24,
 # in particular for the full 64-bit range.
@@ -252,3 +261,69 @@ def dlog_two_power(u: int, ctx: FieldContext) -> int:
             assert w == r - 1, "element outside the order-2^k subgroup"
             e |= 1 << j
     return e
+
+
+# ---------------------------------------------------------------------------
+# residue vectors: F_r elementwise over numpy arrays.  Scalars mixed in are
+# Python ints, so that object arrays never meet a wrapping numpy int64.
+
+def residue_vec(values, r: int) -> np.ndarray:
+    """Residues mod r as a vector whose dtype selects the arithmetic branch."""
+    return np.asarray(values, dtype=np.int64 if r < _FLOAT_LIMIT else object) % r
+
+
+def mulmod_vec(a: np.ndarray, b, r: int) -> np.ndarray:
+    """Exact elementwise a*b mod r for residue vectors (b a vector or an int)."""
+    if a.dtype == object or r < _NUMPY_LIMIT:
+        return a * b % r
+    # float-corrected product: the quotient estimate is off by at most a few
+    # ulps, and the int64 wraparound of a*b - q*r equals the exact signed
+    # remainder because |remainder| < 3r < 2^63
+    q = np.floor(a.astype(np.float64) * np.asarray(b, dtype=np.float64) / r).astype(np.int64)
+    rem = a * b - q * r
+    while (rem < 0).any():
+        rem[rem < 0] += r
+    while (rem >= r).any():
+        rem[rem >= r] -= r
+    return rem
+
+
+def pow_vec(base: np.ndarray, e: int, r: int) -> np.ndarray:
+    """Elementwise base^e mod r by square-and-multiply (e >= 0)."""
+    acc = np.ones_like(base)
+    while e:
+        if e & 1:
+            acc = mulmod_vec(acc, base, r)
+        e >>= 1
+        if e:
+            base = mulmod_vec(base, base, r)
+    return acc
+
+
+def power_table(g: int, count: int, r: int) -> np.ndarray:
+    """g^0, g^1, ..., g^(count-1) mod r, by doubling the known prefix."""
+    out = residue_vec([1], r)
+    step = g % r
+    while len(out) < count:
+        out = np.concatenate([out, mulmod_vec(out, step, r)])
+        step = step * step % r
+    return out[:count]
+
+
+def dlog_two_power_vec(u: np.ndarray, ctx: FieldContext) -> np.ndarray:
+    """:func:`dlog_two_power` elementwise over a residue vector.
+
+    One vector power sends every entry into the order-2^k subgroup; each
+    exponent is then found in the sorted table of the 2^k powers of zeta_2k.
+    """
+    r, k = ctx.r, ctx.k
+    u = u % r
+    if (u == 0).any():
+        raise ZeroDivisionError("dlog of zero")
+    v = pow_vec(u, (r - 1) >> k, r)
+    table = power_table(ctx.zeta_2k, 1 << k, r)
+    order = np.argsort(table)
+    ranked = table[order]
+    pos = np.minimum(np.searchsorted(ranked, v), len(ranked) - 1)
+    assert (ranked[pos] == v).all(), "element outside the order-2^k subgroup"
+    return order[pos]

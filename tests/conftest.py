@@ -17,6 +17,19 @@ SMALL_RADICANDS = [3, 5, 7, 11, 13, 15, 17, 19, 21, 23, 29, 31, 33, 35, 37,
                    39, 41, 43, 47, 51, 53, 55, 57, 59]
 
 
+@pytest.fixture(params=["int64", "float-corrected", "python-int"])
+def arithmetic_branch(request, monkeypatch):
+    """Send every residue vector down one arithmetic branch, whatever r is:
+    the branch follows r against the two limits, so lowering them reroutes
+    small primes."""
+    from greenberg import finite_field
+    if request.param != "int64":
+        monkeypatch.setattr(finite_field, "_NUMPY_LIMIT", 0)
+    if request.param == "python-int":
+        monkeypatch.setattr(finite_field, "_FLOAT_LIMIT", 0)
+    return request.param
+
+
 @pytest.fixture
 def small_radicands():
     return list(SMALL_RADICANDS)

@@ -6,8 +6,10 @@ Kronecker algorithm, the analytic class number formula vs form-cycle
 counting, explicit fundamental units vs period parity, exhaustive module
 enumeration vs Howell reduction, the full-rank Howell engine vs the ideal
 engine that works modulo the lowest monic element, full-rank T-basis pair
-functionals vs the pairing modulo that element in the X-basis, and the
-cyclotomic-norm square identity vs the eta product formula.
+functionals vs the pairing modulo that element in the X-basis, the
+cyclotomic-norm square identity vs the eta product formula, and the
+conjugate-by-conjugate F_{r^2} kernel product vs the F_r product vectorized
+over conjugates.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import isqrt
 
 import numpy as np
 
+from greenberg.cyclo_logs import LogPoly
 from greenberg.finite_field import FieldContext, dlog_two_power, factorize
 from greenberg.group_ring import (RingSpec, Vec, from_coeffs, full_spec, howell_form,
                                   norm_element, poly_mul_mod, t_shift)
@@ -339,3 +342,39 @@ def eta_square_log_3mod4(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
             continue
         acc = acc * (1 - (wp if a in kerset else wm) * pow(z2, a, r)) % r
     return dlog_two_power(acc, ctx)
+
+
+def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
+    """f_r^eta one conjugate at a time, as a product of F_{r^2} factors.
+
+    Coefficient i is the discrete log of
+
+        prod_{a in ker} zeta4^(3^i) (zeta_{2^(n+3)}^(3^i) zeta_f^a
+                                     - zeta_{2^(n+3)}^(-3^i) zeta_f^(-a)),
+
+    multiplied out factor by factor in F_{r^2}; only the full product is
+    required to be Frobenius-fixed.
+    """
+    assert kernel.f == ctx.f, "kernel and context disagree on f"
+    gf = ctx.field
+    r, q, n = ctx.r, ctx.q, ctx.n
+    ord2 = 1 << (n + 3)
+    ksize = len(kernel.residues)
+    tab = [pow(ctx.zeta_f, j, r) for j in range(ctx.f)]
+    coeffs = []
+    for i in range(1 << n):
+        e3 = pow(3, i, ord2)
+        A = gf.pow(ctx.zeta_2n3, e3)
+        Ai = gf.pow(ctx.zeta_2n3, ord2 - e3)
+        pa, pb = 1, 0
+        for a in kernel.residues:
+            z, zi = tab[a], tab[ctx.f - a]
+            fa = (A[0] * z - Ai[0] * zi) % r
+            fb = (A[1] * z - Ai[1] * zi) % r
+            pa, pb = (pa * fa + q * (pb * fb % r)) % r, (pa * fb + pb * fa) % r
+        z4 = pow(ctx.zeta4, (e3 % 4) * ksize % 4, r)
+        pa = pa * z4 % r
+        pb = pb * z4 % r
+        assert pb == 0 and pa != 0, "eta conjugate product left F_r"
+        coeffs.append(dlog_two_power(pa, ctx))
+    return LogPoly(n=n, k=ctx.k, basis="X", coeffs=tuple(coeffs))

@@ -1,18 +1,22 @@
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greenberg import cyclo_logs
-from greenberg.cyclo_logs import (CACHE_VERSION, LogPoly, cache_path, compute_record,
-                                  find_split_primes, load_records, log_poly_beta,
-                                  log_poly_eta, log_scalar_delta, store_records,
-                                  _mulmod)
-from greenberg.finite_field import build_field_context, dlog_two_power, is_prime, subcontext
+from greenberg import finite_field
+from greenberg.cyclo_logs import (CACHE_VERSION, LogPoly, PrimeLogRecord, cache_path,
+                                  compute_record, find_split_primes, load_records,
+                                  log_poly_beta, log_poly_eta, log_scalar_delta,
+                                  store_records)
+from greenberg.finite_field import (build_field_context, dlog_two_power, is_prime,
+                                    mulmod_vec, subcontext)
 from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec, mutual_membership,
                                   poly_mul_mod)
 from greenberg.quadratic import character_kernel
-from oracles import eta_square_log
+from oracles import eta_square_log, log_poly_eta_fp2
 
 
 class TestFindSplitPrimes:
@@ -111,8 +115,8 @@ class TestEta:
             log_poly_eta(ctx, character_kernel(f))
 
     def test_numpy_and_python_paths_agree(self, rng, runnable_radicands, monkeypatch):
-        # the paths switch on r alone: lowering the limits sends small r
-        # down the float-corrected products and the scalar loop
+        # the branches switch on r alone: lowering the limits sends small r
+        # down the float-corrected products and the Python-int vectors
         for _ in range(8):
             f = rng.choice(runnable_radicands)
             n = rng.randrange(0, 3)
@@ -121,12 +125,48 @@ class TestEta:
             ctx = build_field_context(r, n, f)
             fast = log_poly_eta(ctx, ker)
             with monkeypatch.context() as m:
-                m.setattr(cyclo_logs, "_NUMPY_LIMIT", 0)
+                m.setattr(finite_field, "_NUMPY_LIMIT", 0)
                 float_corrected = log_poly_eta(ctx, ker)
             with monkeypatch.context() as m:
-                m.setattr(cyclo_logs, "_FLOAT_LIMIT", 0)
+                m.setattr(finite_field, "_FLOAT_LIMIT", 0)
                 slow = log_poly_eta(ctx, ker)
             assert fast == float_corrected == slow
+
+    def test_matches_fp2_oracle(self, rng, runnable_radicands, arithmetic_branch):
+        # the F_r product over all conjugates equals the F_{r^2} product
+        # taken conjugate by conjugate
+        for _ in range(10):
+            f = rng.choice(runnable_radicands)
+            n = rng.randrange(0, 5)
+            r = rng.choice(find_split_primes(f, n, 3))
+            ctx = build_field_context(r, n, f)
+            ker = character_kernel(f)
+            assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker), (f, n, r)
+
+    def test_matches_fp2_oracle_1605(self):
+        ker = character_kernel(1605)
+        for r in find_split_primes(1605, 6, 2):
+            ctx = build_field_context(r, 6, 1605)
+            assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker), r
+
+    @pytest.mark.parametrize("f", [3, 11, 19])
+    def test_leaves_F_r_like_fp2_oracle(self, f):
+        # the kernel has odd size here, so the product is rational exactly
+        # when zeta_{2^(n+3)} is, i.e. when r = 1 mod 2^(n+3); both paths
+        # must reject the same primes and agree on the rest
+        ker = character_kernel(f)
+        rejected = 0
+        for n in (1, 2, 3):
+            for r in find_split_primes(f, n, 3):
+                ctx = build_field_context(r, n, f)
+                if r % (1 << (n + 3)) == 1:
+                    assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker)
+                    continue
+                rejected += 1
+                for path in (log_poly_eta, log_poly_eta_fp2):
+                    with pytest.raises(AssertionError, match="left F_r"):
+                        path(ctx, ker)
+        assert rejected > 0
 
     def test_norm_compatibility_collapse(self, rng, runnable_radicands):
         # level-m coefficients are partial sums of level-n coefficients when
@@ -228,14 +268,14 @@ class TestMulmodFloatPath:
         for r in ((1 << 31) + 11, (1 << 40) + 5, (1 << 49) + 9):
             a = np.array([rng.randrange(r) for _ in range(200)], dtype=np.int64)
             b = np.array([rng.randrange(r) for _ in range(200)], dtype=np.int64)
-            got = _mulmod(a, b, r)
+            got = mulmod_vec(a, b, r)
             want = [int(x) * int(y) % r for x, y in zip(a, b)]
             assert [int(v) for v in got] == want
 
     def test_boundary_values(self):
         r = (1 << 49) + 9
         vals = np.array([0, 1, r - 1, r - 2, r // 2, r // 2 + 1], dtype=np.int64)
-        got = _mulmod(vals, vals, r)
+        got = mulmod_vec(vals, vals, r)
         want = [int(v) * int(v) % r for v in vals]
         assert [int(v) for v in got] == want
 
@@ -301,6 +341,57 @@ class TestCache:
         assert cache_path(tmp_path, 21, 1).exists()
         again = get_records(21, 1, primes, ker, cache_dir=tmp_path)
         assert first == again
+
+
+# a cache line: any bytes but the line separator, or a valid (21, 1) record
+_lines = (st.binary(max_size=80).map(lambda b: b.replace(b"\n", b""))
+          | st.sampled_from([b"21 1 22777 | 0 1 | 3 1 | -", b" 21 1 5 |3 3| 2 2 |7 "]))
+
+
+@st.composite
+def _records(draw):
+    """Valid records of one (n, k = n + 1) key: beta's coefficients sum to 0."""
+    n = draw(st.integers(0, 3))
+    mod = 1 << (n + 1)
+    coeffs = st.lists(st.integers(0, mod - 1), min_size=1 << n, max_size=1 << n)
+    out = {}
+    for r in draw(st.sets(st.integers(1, 1 << 62), max_size=4)):
+        eta = draw(coeffs)
+        beta = draw(coeffs)
+        beta[-1] = (beta[-1] - sum(beta)) % mod
+        delta = draw(st.none() | st.integers(0, mod - 1))
+        out[r] = PrimeLogRecord(r, LogPoly(n, n + 1, "X", tuple(eta)),
+                                LogPoly(n, n + 1, "X", tuple(beta)), delta)
+    return n, out
+
+
+class TestCacheFuzz:
+    @given(st.lists(_lines, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_lines_never_raise(self, lines):
+        # a line is bad when, alone after the header, it yields no record;
+        # in any file each bad line gives exactly one warning, naming it
+        header = f"# {CACHE_VERSION}\n".encode()
+        with tempfile.TemporaryDirectory() as d:
+            path = cache_path(d, 21, 1)
+            bad = []
+            for ln, line in enumerate(lines, start=2):
+                path.write_bytes(header + line + b"\n")
+                alone, warnings = load_records(d, 21, 1)
+                assert len(alone) + len(warnings) <= 1
+                if warnings:
+                    bad.append(ln)
+            path.write_bytes(header + b"\n".join(lines))
+            _, warnings = load_records(d, 21, 1)
+        assert [int(w[len(str(path)) + 1:].split(":")[0]) for w in warnings] == bad
+
+    @given(_records())
+    @settings(max_examples=100, deadline=None)
+    def test_store_load_round_trip(self, case):
+        n, records = case
+        with tempfile.TemporaryDirectory() as d:
+            store_records(d, 21, n, records)
+            assert load_records(d, 21, n) == (records, [])
 
 
 class TestLogPoly:

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenberg.finite_field import (Fp2Field, build_field_context, dlog_two_power,
-                                    factorize, is_prime, smallest_nonresidue,
-                                    subcontext)
+                                    dlog_two_power_vec, factorize, is_prime, residue_vec,
+                                    smallest_nonresidue, subcontext)
 from oracles import trial_is_prime
 
 
@@ -164,3 +164,34 @@ class TestDlog:
         ctx = build_field_context(22777, 1, 949)
         seen = {dlog_two_power(u, ctx) for u in range(2, 500)}
         assert seen == set(range(1 << ctx.k))
+
+
+def _large_context(bits: int, n: int, f: int):
+    """Context at the first split prime above 2^bits."""
+    modulus = (1 << (n + 2)) * f
+    t = (1 << bits) // modulus + 1
+    while not is_prime(1 + t * modulus):
+        t += 1
+    return build_field_context(1 + t * modulus, n, f)
+
+
+class TestDlogVec:
+    def _check(self, ctx, rng):
+        r = ctx.r
+        vals = [1, r - 1] + [rng.randrange(1, r) for _ in range(60)]
+        got = dlog_two_power_vec(residue_vec(vals, r), ctx)
+        assert got.tolist() == [dlog_two_power(u, ctx) for u in vals]
+
+    def test_matches_scalar(self, rng, arithmetic_branch):
+        for r, n, f in ((22777, 1, 949), (45553, 2, 949), (7681, 7, 5)):
+            self._check(build_field_context(r, n, f), rng)
+
+    def test_matches_scalar_on_large_primes(self, rng):
+        # primes past each limit reach the other two branches unpatched
+        for bits in (31, 50):
+            self._check(_large_context(bits, 2, 949), rng)
+
+    def test_zero_rejected(self, arithmetic_branch):
+        ctx = build_field_context(22777, 1, 949)
+        with pytest.raises(ZeroDivisionError):
+            dlog_two_power_vec(residue_vec([1, 0, 5], ctx.r), ctx)
