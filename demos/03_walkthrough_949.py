@@ -20,8 +20,8 @@ ker = character_kernel(f)
 print("r        eta(T)     beta(T)/T")
 for r in find_split_primes(f, 1, 6):
     rec = compute_record(f, 1, r, ker)
-    eta = rec.eta.to_T().coeffs
-    q = rec.beta.to_T().coeffs[1:] + (0,)   # beta has no constant term
+    eta = rec.eta.to_T()
+    q = rec.beta.to_T()[1:] + (0,)   # beta has no constant term
     print(f"{r:<9}{str(eta):<11}{q}")
 
 print("\nrunning the certification:")

@@ -2,7 +2,7 @@
 Q(sqrt(f)) stabilize along the cyclotomic Z_2-tower (Greenberg's conjecture,
 lambda = 0), via annihilator ideals of cyclotomic-unit duals."""
 
-from greenberg.quadratic import QuadFieldInfo, character_kernel, class_number, classify_gate
+from greenberg.quadratic import QuadFieldInfo, character_kernel, class_number
 from greenberg.verify import RunConfig, VerificationReport, verify
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "VerificationReport",
     "character_kernel",
     "class_number",
-    "classify_gate",
     "verify",
 ]
 

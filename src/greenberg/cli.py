@@ -353,8 +353,8 @@ def cmd_cache(args) -> int:
             sample = sorted(records)[::10] or sorted(records)[:1]
             for r in sample:
                 fresh = compute_record(f, n, r, kernel)
-                if (fresh.eta.coeffs != records[r].eta.to_X().coeffs
-                        or fresh.beta.coeffs != records[r].beta.to_X().coeffs
+                if (fresh.eta.coeffs != records[r].eta.coeffs
+                        or fresh.beta.coeffs != records[r].beta.coeffs
                         or fresh.delta_scalar != records[r].delta_scalar):
                     print(f"MISMATCH: f={f} n={n} r={r} cache disagrees with recomputation")
                     return EXIT_UNRESOLVED

@@ -33,7 +33,7 @@ import numpy as np
 
 from greenberg.finite_field import (FieldContext, build_field_context, dlog_two_power,
                                     dlog_two_power_vec, is_prime, mulmod_vec, power_table)
-from greenberg.group_ring import to_T_basis, to_X_basis
+from greenberg.group_ring import to_T_basis
 from greenberg.quadratic import KernelSet
 
 PRIME_SWEEP_CAP = 10_000_000
@@ -46,33 +46,22 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LogPoly:
-    """Coefficient sequence of f_r^u, length 2^n, entries mod 2^k."""
+    """X-basis coefficients of f_r^u (coefficient i belongs to the i-th
+    conjugate), length 2^n, entries mod 2^k."""
 
     n: int
     k: int
-    basis: str                  # "X" or "T" (T = X - 1)
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
         assert len(self.coeffs) == 1 << self.n
-        assert self.basis in ("X", "T")
 
-    def to_T(self) -> "LogPoly":
-        if self.basis == "T":
-            return self
-        c = to_T_basis(self.coeffs, 1 << self.k)
-        return LogPoly(self.n, self.k, "T", tuple(int(x) for x in c))
-
-    def to_X(self) -> "LogPoly":
-        if self.basis == "X":
-            return self
-        c = to_X_basis(self.coeffs, 1 << self.k)
-        return LogPoly(self.n, self.k, "X", tuple(int(x) for x in c))
+    def to_T(self) -> tuple[int, ...]:
+        """The coefficients in the basis T = X - 1."""
+        return tuple(int(x) for x in to_T_basis(self.coeffs, 1 << self.k))
 
     def aug(self) -> int:
-        """Evaluation at the group identity (X = 1, T = 0)."""
-        if self.basis == "T":
-            return self.coeffs[0] % (1 << self.k)
+        """Evaluation at the group identity (X = 1)."""
         return sum(self.coeffs) % (1 << self.k)
 
 
@@ -169,7 +158,7 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
         factors = (mulmod_vec(zsq[start:start + rows, None], wpow, r) - 1) % r
         acc = mulmod_vec(acc, _row_product(factors, r), r)
     coeffs = dlog_two_power_vec(acc, ctx)
-    return LogPoly(n=n, k=ctx.k, basis="X", coeffs=tuple(coeffs.tolist()))
+    return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
 
 
 def log_poly_beta(ctx: FieldContext) -> LogPoly:
@@ -193,7 +182,7 @@ def log_poly_beta(ctx: FieldContext) -> LogPoly:
     den = (1 - wpow[e]) % r
     logs = dlog_two_power_vec(np.concatenate([num, den]), ctx)
     coeffs = (logs[:1 << n] - logs[1 << n:]) % (1 << ctx.k)
-    poly = LogPoly(n=n, k=ctx.k, basis="X", coeffs=tuple(coeffs.tolist()))
+    poly = LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
     assert poly.aug() == 0, "beta lies in the augmentation ideal"
     return poly
 
@@ -235,9 +224,9 @@ def log_scalar_delta(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int
 
 
 def compute_record(f: int, n: int, r: int, kernel: KernelSet, *,
-                   k: int | None = None, candidate_offset: int = 0) -> PrimeLogRecord:
+                   k: int | None = None) -> PrimeLogRecord:
     """All log data for one auxiliary prime, under one shared embedding."""
-    ctx = build_field_context(r, n, f, k=k, candidate_offset=candidate_offset)
+    ctx = build_field_context(r, n, f, k=k)
     eta = log_poly_eta(ctx, kernel)
     beta = log_poly_beta(ctx)
     delta = None
@@ -254,8 +243,8 @@ def cache_path(cache_dir: str | Path, f: int, n: int) -> Path:
 
 
 def _record_line(f: int, n: int, rec: PrimeLogRecord) -> str:
-    eta = " ".join(str(c) for c in rec.eta.to_X().coeffs)
-    beta = " ".join(str(c) for c in rec.beta.to_X().coeffs)
+    eta = " ".join(str(c) for c in rec.eta.coeffs)
+    beta = " ".join(str(c) for c in rec.beta.coeffs)
     delta = "-" if rec.delta_scalar is None else str(rec.delta_scalar)
     return f"{f} {n} {rec.r} | {eta} | {beta} | {delta}"
 
@@ -303,8 +292,8 @@ def load_records(cache_dir: str | Path, f: int, n: int
             ff, nn, r = (int(x) for x in head.split())
             if (ff, nn) != (f, n):
                 raise ValueError("key mismatch")
-            eta = LogPoly(n, k, "X", tuple(int(x) % (1 << k) for x in eta_s.split()))
-            beta = LogPoly(n, k, "X", tuple(int(x) % (1 << k) for x in beta_s.split()))
+            eta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in eta_s.split()))
+            beta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in beta_s.split()))
             delta = None if delta_s == "-" else int(delta_s)
             records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
         except (ValueError, AssertionError) as exc:
@@ -313,19 +302,15 @@ def load_records(cache_dir: str | Path, f: int, n: int
 
 
 def iter_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
-                 cache_dir: str | Path | None = None,
-                 candidate_offset: int = 0) -> Iterator[PrimeLogRecord]:
+                 cache_dir: str | Path | None = None) -> Iterator[PrimeLogRecord]:
     """Records for the given primes in ascending order, computed as they
     are asked for.
 
     The cache is read once, before the first record, and written once,
     when the iteration ends or is closed, if any record was computed.
-    Alternative embeddings (candidate_offset != 0) never touch the cache:
-    their records are only comparable through the ideals they generate.
     """
-    use_cache = cache_dir is not None and candidate_offset == 0
     cached: dict[int, PrimeLogRecord] = {}
-    if use_cache:
+    if cache_dir is not None:
         cached, warnings = load_records(cache_dir, f, n)
         for w in warnings:
             log.warning("cache warning: %s", w)
@@ -334,21 +319,19 @@ def iter_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
         for r in sorted(primes):
             rec = cached.get(r)
             if rec is None:
-                rec = compute_record(f, n, r, kernel, candidate_offset=candidate_offset)
+                rec = compute_record(f, n, r, kernel)
                 cached[r] = rec
                 fresh = True
             yield rec
     finally:
-        if use_cache and fresh:
+        if cache_dir is not None and fresh:
             store_records(cache_dir, f, n, cached)
 
 
 def get_records(f: int, n: int, primes: list[int], kernel: KernelSet, *,
-                cache_dir: str | Path | None = None,
-                candidate_offset: int = 0) -> list[PrimeLogRecord]:
+                cache_dir: str | Path | None = None) -> list[PrimeLogRecord]:
     """All records for the given primes, cache-backed (see :func:`iter_records`)."""
-    return list(iter_records(f, n, primes, kernel, cache_dir=cache_dir,
-                             candidate_offset=candidate_offset))
+    return list(iter_records(f, n, primes, kernel, cache_dir=cache_dir))
 
 
 def default_cache_dir() -> Path | None:

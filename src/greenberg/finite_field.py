@@ -100,9 +100,6 @@ class Fp2Field:
         b = (x[0] * y[1] + x[1] * y[0]) % r
         return a, b
 
-    def sub(self, x: Fp2, y: Fp2) -> Fp2:
-        return (x[0] - y[0]) % self.r, (x[1] - y[1]) % self.r
-
     def pow(self, x: Fp2, e: int) -> Fp2:
         acc: Fp2 = (1, 0)
         base = x

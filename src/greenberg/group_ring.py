@@ -206,16 +206,6 @@ def to_T_basis(xcoeffs, mod: int) -> np.ndarray:
     return res
 
 
-def to_X_basis(tcoeffs, mod: int) -> np.ndarray:
-    """Substitute T = X - 1 (Horner); inverse of :func:`to_T_basis`."""
-    c = np.asarray(list(tcoeffs), dtype=np.int64)
-    res = np.zeros(len(c), dtype=np.int64)
-    for j in range(len(c) - 1, -1, -1):
-        res[1:], res[0] = (res[:-1] - res[1:]) % mod, (-res[0]) % mod
-        res[0] = (res[0] + c[j]) % mod
-    return res
-
-
 # ---------------------------------------------------------------------------
 # Howell normal form
 
@@ -482,15 +472,11 @@ class ReportedIdeal:
 
     ``generators`` are ascending T-coefficient tuples; together with 2^d and
     the relation polynomial they regenerate the Howell ideal they came from
-    (asserted at construction).  ``divided`` records which presentation the
-    quotient used.
+    (asserted at construction).
     """
 
     generators: tuple[tuple[int, ...], ...]
     log2_index: int
-    d: int
-    n: int
-    divided: bool
 
     def __str__(self):
         return "(" + ", ".join(poly_str(g) for g in self.generators) + ")"
@@ -520,8 +506,7 @@ def canonical_generators(ideal: HowellIdeal) -> ReportedIdeal:
             gens.append((spec.modulus,))
             v_prev = spec.d
     gens.append(tuple(int(x) for x in ring.relation))
-    reported = ReportedIdeal(generators=tuple(gens), log2_index=ideal.log2_index(),
-                             d=spec.d, n=spec.n, divided=spec.divided)
+    reported = ReportedIdeal(generators=tuple(gens), log2_index=ideal.log2_index())
     regen = HowellIdeal.from_generators(spec, reported.generators)
     assert regen == ideal, "canonical generators failed to regenerate the ideal"
     return reported

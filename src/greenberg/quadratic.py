@@ -18,7 +18,6 @@ from greenberg.finite_field import factorize
 GATE_RUN_SPLIT = "run_split"
 GATE_RUN_NONSPLIT = "run_nonsplit"
 GATE_TRIVIAL = "trivially_stable"
-GATE_EXCLUDED = "excluded"
 
 
 def _jacobi(b: int, a: int) -> int:
@@ -186,25 +185,18 @@ class QuadFieldInfo:
     h_narrow: int
     unit_norm: int
     m0: int
-    split8: bool
     gate: str
 
 
 def _gate(f: int, h: int) -> str:
-    if f < 3 or f % 2 == 0 or not is_squarefree(f):
-        return GATE_EXCLUDED
-    if f % 8 == 1:
-        return GATE_RUN_SPLIT
-    return GATE_RUN_NONSPLIT if h % 2 == 0 else GATE_TRIVIAL
-
-
-def classify_gate(info: QuadFieldInfo) -> str:
     """Which of the two algorithm variants runs for f, if any.
 
     2 splits in Q(sqrt(f)) exactly when f = 1 mod 8; otherwise an odd class
     number already forces the whole tower trivial.
     """
-    return _gate(info.f, info.h)
+    if f % 8 == 1:
+        return GATE_RUN_SPLIT
+    return GATE_RUN_NONSPLIT if h % 2 == 0 else GATE_TRIVIAL
 
 
 def class_number(f: int) -> QuadFieldInfo:
@@ -228,4 +220,4 @@ def class_number(f: int) -> QuadFieldInfo:
     else:
         m0 = v2 - 1 if h % 2 == 0 else 0
     return QuadFieldInfo(f=f, D=D, h=h, h_narrow=h_narrow, unit_norm=unit_norm,
-                         m0=m0, split8=(f % 8 == 1), gate=_gate(f, h))
+                         m0=m0, gate=_gate(f, h))

@@ -29,8 +29,8 @@ from greenberg.group_ring import (HowellIdeal, ReportedIdeal, RingSpec, Vec,
                                   canonical_generators, divided_spec, from_coeffs, full_spec,
                                   norm_element, poly_mul_mod, power_table, reduce_poly, scalar,
                                   to_T_basis)
-from greenberg.quadratic import (GATE_EXCLUDED, GATE_TRIVIAL, KernelSet, QuadFieldInfo,
-                                 character_kernel, class_number)
+from greenberg.quadratic import (GATE_TRIVIAL, KernelSet, QuadFieldInfo, character_kernel,
+                                 class_number)
 
 CRITERION_CARDINALITY = "cardinality"
 CRITERION_NORM = "norm_annihilation"
@@ -48,7 +48,6 @@ class RunConfig:
     max_level: int = 13
     adaptive: bool = False
     cache_dir: str | Path | None = None
-    candidate_offset: int = 0     # alternative root-of-unity sweep (invariance checks)
 
     def resolved_cache_dir(self) -> Path | None:
         if self.cache_dir is not None:
@@ -157,8 +156,8 @@ class PairAccumulator:
         """The g-vectors this prime contributes, as elements of ``ring``,
         the ideal's ring Z/2^d[T]/(M)."""
         mod = self.spec.modulus
-        eta = np.asarray(rec.eta.to_X().coeffs, dtype=np.int64) % mod
-        beta = np.asarray(rec.beta.to_X().coeffs, dtype=np.int64) % mod
+        eta = np.asarray(rec.eta.coeffs, dtype=np.int64) % mod
+        beta = np.asarray(rec.beta.coeffs, dtype=np.int64) % mod
         if not self.spec.divided:
             new = [(eta, _over_T(beta, mod))]
         else:
@@ -206,15 +205,15 @@ def run_level(f: int, n: int, config: RunConfig,
     kernel = kernel or character_kernel(f)
     spec = divided_spec(n) if _split_case(f) else full_spec(n)
     ideal = HowellIdeal.empty(spec)
-    fetch = dict(cache_dir=config.resolved_cache_dir(),
-                 candidate_offset=config.candidate_offset)
+    cache_dir = config.resolved_cache_dir()
     if config.adaptive:
         # records are computed as the level asks for them, with one cache
         # read and at most one write for the whole level
         records = iter_records(f, n, find_split_primes(f, n, config.primes * _ADAPTIVE_CAP),
-                               kernel, **fetch)
+                               kernel, cache_dir=cache_dir)
     else:
-        records = get_records(f, n, find_split_primes(f, n, config.primes), kernel, **fetch)
+        records = get_records(f, n, find_split_primes(f, n, config.primes), kernel,
+                              cache_dir=cache_dir)
     pairs = PairAccumulator(spec)
 
     used: list[int] = []
@@ -247,26 +246,17 @@ def check_termination(level: LevelResult, info: QuadFieldInfo) -> str | None:
 
     Non-split: needs 2^m in J_m; then (a) quotient cardinality below
     2^(m+m0), else (b) the norm element of level m-1 in J_m.  Split: needs
-    2^(m-m0) in the divided ideal; (a) cardinality below 2^m, else (b) the
-    norm-element image in the divided ideal (annihilating the quotient ring
-    is membership, the quotient having an identity).
+    m >= m0 and 2^(m-m0) in the divided ideal; (a) cardinality below 2^m,
+    else (b) the norm-element image in the divided ideal (annihilating the
+    quotient ring is membership, the quotient having an identity).
     """
     m = level.n
     ideal = level.ideal
     ring = ideal.ring    # membership in J is membership in J/(M)
-    if _split_case(info.f):
-        if m < info.m0:
-            return None
-        if not ideal.contains(scalar(1 << (m - info.m0), ring)):
-            return None
-        if ideal.log2_index() < m:
-            return CRITERION_CARDINALITY
-        if ideal.contains(norm_element(m - 1, ring)):
-            return CRITERION_NORM
+    power, bound = (m - info.m0, m) if _split_case(info.f) else (m, m + info.m0)
+    if power < 0 or not ideal.contains(scalar(1 << power, ring)):
         return None
-    if not ideal.contains(scalar(1 << m, ring)):
-        return None
-    if ideal.log2_index() < m + info.m0:
+    if ideal.log2_index() < bound:
         return CRITERION_CARDINALITY
     if ideal.contains(norm_element(m - 1, ring)):
         return CRITERION_NORM
@@ -302,8 +292,6 @@ def verify(f: int, config: RunConfig | None = None) -> VerificationReport:
     config = config or RunConfig()
     info = class_number(f)
     report = VerificationReport(f=f, gate=info.gate, info=info)
-    if info.gate == GATE_EXCLUDED:
-        raise ValueError(f"f={f} is outside the verifiable family")
     if info.gate == GATE_TRIVIAL:
         report.criterion = CRITERION_TRIVIAL
         report.stable_from = 0

@@ -22,7 +22,7 @@ import numpy as np
 from greenberg.cyclo_logs import LogPoly
 from greenberg.finite_field import FieldContext, dlog_two_power, factorize
 from greenberg.group_ring import (RingSpec, Vec, from_coeffs, full_spec, howell_form,
-                                  norm_element, poly_mul_mod, t_shift)
+                                  norm_element, poly_mul_mod, t_shift, to_T_basis)
 from greenberg.quadratic import KernelSet
 
 
@@ -235,6 +235,17 @@ class FullRankIdeal:
 # ---------------------------------------------------------------------------
 # pair functionals at full rank in the T-basis
 
+def to_X_basis(tcoeffs, mod: int) -> np.ndarray:
+    """Substitute T = X - 1 (Horner); inverse of
+    :func:`greenberg.group_ring.to_T_basis`, for T-basis fixtures."""
+    c = np.asarray(list(tcoeffs), dtype=np.int64)
+    res = np.zeros(len(c), dtype=np.int64)
+    for j in range(len(c) - 1, -1, -1):
+        res[1:], res[0] = (res[:-1] - res[1:]) % mod, (-res[0]) % mod
+        res[0] = (res[0] + c[j]) % mod
+    return res
+
+
 def divide_by_aug(p: Vec, spec: RingSpec, out_spec: RingSpec | None = None) -> Vec:
     """Canonical quotient q with T*q = p, for p in the augmentation ideal.
 
@@ -267,8 +278,8 @@ def full_rank_pair_functionals(records, spec: RingSpec) -> list[Vec]:
     mod = full.modulus
     seen, funcs, out = [], [], []
     for rec in records:
-        eta = from_coeffs(rec.eta.to_T().coeffs, full)
-        quot = divide_by_aug(from_coeffs(rec.beta.to_T().coeffs, full), full)
+        eta = from_coeffs(rec.eta.to_T(), full)
+        quot = divide_by_aug(from_coeffs(rec.beta.to_T(), full), full)
         if spec.divided:
             c = rec.delta_scalar % mod
             new = []
@@ -377,4 +388,4 @@ def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
         pb = pb * z4 % r
         assert pb == 0 and pa != 0, "eta conjugate product left F_r"
         coeffs.append(dlog_two_power(pa, ctx))
-    return LogPoly(n=n, k=ctx.k, basis="X", coeffs=tuple(coeffs))
+    return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs))

@@ -6,11 +6,13 @@ tagged slow and excluded by default (`pytest -m slow` runs it).
 
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
 
-from greenberg.cyclo_logs import compute_record, find_split_primes
+from greenberg import cyclo_logs
+from greenberg.cyclo_logs import compute_record, find_split_primes, get_records
 from greenberg.finite_field import build_field_context, subcontext
 from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec,
                                   mutual_membership, norm_element, parse_poly, scalar)
@@ -201,12 +203,22 @@ def test_criterion_5iv_square_identity(rng, runnable_radicands):
             done += 1
 
 
-def test_criterion_5v_unit_invariance():
+def test_criterion_5v_unit_invariance(monkeypatch):
     with criterion("5v", "alternative root-of-unity sweeps give identical ideals "
                          "at every level (f=949 and f=6817)"):
-        for f in (949, 6817):
-            a = verify(f, RunConfig(primes=15))
-            b = verify(f, RunConfig(primes=15, candidate_offset=1))
+        monkeypatch.delenv("GREENBERG_CACHE", raising=False)
+        fs = (949, 6817)
+        ref = [verify(f, RunConfig(primes=15)) for f in fs]
+        ker = character_kernel(949)
+        primes = find_split_primes(949, 3, 15)
+        before = get_records(949, 3, primes, ker)
+        monkeypatch.setattr(cyclo_logs, "build_field_context",
+                            partial(build_field_context, candidate_offset=1))
+        # the alternative embedding changes the records themselves, so the
+        # ideal comparison below is not vacuous
+        assert get_records(949, 3, primes, ker) != before
+        for f, a in zip(fs, ref):
+            b = verify(f, RunConfig(primes=15))
             assert a.m == b.m and a.criterion == b.criterion
             assert len(a.levels) == len(b.levels)
             for la, lb in zip(a.levels, b.levels):

@@ -16,7 +16,7 @@ from greenberg.finite_field import (build_field_context, dlog_two_power, is_prim
 from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec, mutual_membership,
                                   poly_mul_mod)
 from greenberg.quadratic import character_kernel
-from oracles import eta_square_log, log_poly_eta_fp2
+from oracles import eta_square_log, log_poly_eta_fp2, to_X_basis
 
 
 class TestFindSplitPrimes:
@@ -70,8 +70,8 @@ class TestAgainstPaperTables:
         spec = full_spec(n)
         for r, (eta_pub, beta_pub) in table.items():
             rec = compute_record(949, n, r, ker)
-            eta = from_coeffs(rec.eta.to_T().coeffs, spec)
-            beta = from_coeffs(rec.beta.to_T().coeffs, spec)
+            eta = from_coeffs(rec.eta.to_T(), spec)
+            beta = from_coeffs(rec.beta.to_T(), spec)
             pe = from_coeffs(eta_pub, spec)
             pb = from_coeffs(beta_pub, spec)
             assert np.array_equal(poly_mul_mod(eta, pb, spec),
@@ -295,6 +295,12 @@ class TestCache:
         store_records(tmp_path, 21, 1, loaded)
         assert cache_path(tmp_path, 21, 1).read_text() == text1
 
+    def test_golden_line(self, tmp_path):
+        rec = PrimeLogRecord(22777, LogPoly(1, 2, (0, 1)), LogPoly(1, 2, (3, 1)), None)
+        path = store_records(tmp_path, 21, 1, {22777: rec})
+        assert path.read_text() == ("# greenberg-logcache v1 (X-basis coefficients)\n"
+                                    "21 1 22777 | 0 1 | 3 1 | -\n")
+
     def test_corrupt_line_skipped(self, tmp_path):
         recs = self._records(21, 1, 2)
         p = store_records(tmp_path, 21, 1, recs)
@@ -360,8 +366,8 @@ def _records(draw):
         beta = draw(coeffs)
         beta[-1] = (beta[-1] - sum(beta)) % mod
         delta = draw(st.none() | st.integers(0, mod - 1))
-        out[r] = PrimeLogRecord(r, LogPoly(n, n + 1, "X", tuple(eta)),
-                                LogPoly(n, n + 1, "X", tuple(beta)), delta)
+        out[r] = PrimeLogRecord(r, LogPoly(n, n + 1, tuple(eta)),
+                                LogPoly(n, n + 1, tuple(beta)), delta)
     return n, out
 
 
@@ -396,10 +402,10 @@ class TestCacheFuzz:
 
 class TestLogPoly:
     def test_basis_round_trip(self):
-        p = LogPoly(2, 3, "X", (1, 2, 3, 4))
-        assert p.to_T().to_X() == p
-        assert p.to_T().basis == "T"
+        p = LogPoly(2, 3, (1, 2, 3, 4))
+        assert p.to_T() == (2, 4, 7, 4)        # 1 + 2X + 3X^2 + 4X^3 at X = T + 1
+        assert tuple(to_X_basis(p.to_T(), 8)) == p.coeffs
 
     def test_aug_is_basis_independent(self):
-        p = LogPoly(1, 2, "X", (3, 1))
-        assert p.aug() == p.to_T().aug() == 0
+        p = LogPoly(1, 2, (3, 1))
+        assert p.aug() == p.to_T()[0] == 0

@@ -7,9 +7,9 @@ from greenberg.group_ring import (HowellIdeal, canonical_generators, divided_spe
                                   from_coeffs, full_spec, howell_form,
                                   mutual_membership, norm_element, one, parse_poly,
                                   poly_mul_mod, poly_str, scalar, t_shift, to_T_basis,
-                                  to_X_basis, weierstrass_polynomial, zero)
+                                  weierstrass_polynomial, zero)
 from greenberg.verify import _n0_sweep
-from oracles import FullRankIdeal, divide_by_aug, enumerate_span
+from oracles import FullRankIdeal, divide_by_aug, enumerate_span, to_X_basis
 
 
 def _shift_closure(spec, gens):

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenberg.quadratic import (GATE_RUN_NONSPLIT, GATE_RUN_SPLIT, GATE_TRIVIAL,
-                                 character_kernel, class_number, classify_gate,
-                                 is_squarefree, kronecker, reduced_forms)
+                                 character_kernel, class_number, is_squarefree, kronecker,
+                                 reduced_forms)
 from oracles import analytic_class_number, kronecker_oracle, legendre, unit_norm_oracle
 
 
@@ -151,8 +151,8 @@ class TestGate:
         assert class_number(6817).gate == GATE_RUN_SPLIT
 
     def test_classify_gate_on_info(self):
-        assert classify_gate(class_number(949)) == GATE_RUN_NONSPLIT
-        assert classify_gate(class_number(3)) == GATE_TRIVIAL
+        assert class_number(949).gate == GATE_RUN_NONSPLIT
+        assert class_number(3).gate == GATE_TRIVIAL
 
     def test_split_runs_even_with_odd_h(self):
         # f = 1 mod 8 runs regardless of class-number parity

@@ -7,13 +7,13 @@ from greenberg.group_ring import (HowellIdeal, divided_spec, from_coeffs, full_s
                                   mutual_membership, scalar)
 from greenberg.quadratic import character_kernel, class_number
 from greenberg.verify import PairAccumulator, RunConfig, check_termination, run_level, verify
-from oracles import full_rank_pair_functionals
+from oracles import full_rank_pair_functionals, to_X_basis
 
 
 def _synthetic_record(n, k, eta_t, beta_t, delta=None, r=0):
     """Record from T-basis fixtures (e.g. the published level tables)."""
-    eta = LogPoly(n, k, "T", tuple(eta_t)).to_X()
-    beta = LogPoly(n, k, "T", tuple(beta_t)).to_X()
+    eta = LogPoly(n, k, tuple(to_X_basis(eta_t, 1 << k).tolist()))
+    beta = LogPoly(n, k, tuple(to_X_basis(beta_t, 1 << k).tolist()))
     return PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
 
 
@@ -134,7 +134,7 @@ class TestFunctionalVanishing:
         ker = character_kernel(949)
         spec = full_spec(2)
         recs = [compute_record(949, 2, r, ker) for r in find_split_primes(949, 2, 4)]
-        betas = [from_coeffs(rec.beta.to_T().coeffs, spec) for rec in recs]
+        betas = [from_coeffs(rec.beta.to_T(), spec) for rec in recs]
         quots = [divide_by_aug(b, spec) for b in betas]
         for i in range(len(recs)):
             for j in range(i):
