@@ -2,11 +2,14 @@
 # and 2-power discrete logarithms.
 #
 # Everything downstream evaluates cyclotomic units at primes
-# r = 1 mod 2^(n+2)*f, where F_{r^2} contains a root of unity of exact
-# order 2^(n+3)*f. One deterministic choice of that root is the "context".
+# r = 1 mod 2^(n+2)*f, where F_{r^2} = F_r(sqrt(q)) contains a root of unity
+# of exact order 2^(n+3)*f: zeta = (a + sqrt(q))^((r^2-1)/(2^(n+3)*f)) for a
+# suitable a. Every root the run uses is a power zeta^j with (r+1) | j, so it
+# is a power of the norm N = (a + sqrt(q))^(r+1) = a^2 - q, which lies in F_r.
+# One deterministic choice of a is the "context".
 
 from greenberg.cyclo_logs import find_split_primes
-from greenberg.finite_field import build_field_context, dlog_two_power, is_prime
+from greenberg.finite_field import build_field_context, dlog_two_power, factorize, is_prime
 
 f, n = 949, 1
 print(f"f = {f}, level n = {n}: need primes r = 1 mod 2^{n+2}*{f} = {(1 << (n+2)) * f}")
@@ -16,24 +19,25 @@ print("first six:", primes)
 assert all(is_prime(r) for r in primes)
 
 ctx = build_field_context(primes[0], n, f)
-print(f"\ncontext at r = {ctx.r}: F_(r^2) = F_r(sqrt({ctx.q}))")
-print(f"zeta = {ctx.zeta}  (order 2^{n+3} * {f} = {(1 << (n+3)) * f}, certified)")
+r = ctx.r
+print(f"\ncontext at r = {r}: q = {ctx.q} (the smallest nonresidue), F_(r^2) = F_r(sqrt(q))")
+print(f"candidate a = {ctx.a}: N = a^2 - q = {ctx.norm} mod r")
 
-# the certificate: zeta^(order/p) != 1 for every prime p | 2f
-gf = ctx.field
-order = (1 << (n + 3)) * f
-for p in (2, 13, 73):
-    print(f"  zeta^(order/{p}) = {gf.pow(ctx.zeta, order // p)}  (must not be (1, 0))")
+# the certificate: zeta has exact order 2^(n+3)*f exactly when
+# zeta^(order/p) = N^((r-1)/p) != 1 for every prime p | 2f
+for p in [2] + sorted(factorize(f)):
+    print(f"  N^((r-1)/{p}) = {pow(ctx.norm, (r - 1) // p, r)}  (must not be 1)")
 
-# derived roots: the 2-power tower root lives in F_{r^2}, everything else
-# is rational over F_r
-print(f"\nzeta4 = {ctx.zeta4}, zeta_f = {ctx.zeta_f}, zeta_2k = {ctx.zeta_2k} (all in F_r)")
-print(f"zeta_(2^{n+3}) = {ctx.zeta_2n3} (in F_(r^2))")
+# derived roots: zeta_m = N^((r-1)/m), all in F_r
+print(f"\nzeta4 = N^((r-1)/4) = {ctx.zeta4}")
+print(f"w = zeta_(2^{n+3})^2 = N^((r-1)/2^{n+2}) = {ctx.w}")
+print(f"zeta_f = N^((r-1)/{f}) = {ctx.zeta_f}")
+print(f"zeta_2k = N^((r-1)/2^{ctx.k}) = {ctx.zeta_2k}")
 
 # the discrete log: u -> e with u^((r-1)/2^k) = zeta_2k^e, k = n+1
-print("\nsome discrete logs mod 2^%d:" % (1 << ctx.k))
-for u in (1, ctx.r - 1, 2, 3, 5):
+print("\nsome discrete logs mod 2^%d:" % ctx.k)
+for u in (1, r - 1, 2, 3, 5):
     e = dlog_two_power(u, ctx)
-    check = pow(u, (ctx.r - 1) >> ctx.k, ctx.r) == pow(ctx.zeta_2k, e, ctx.r)
+    check = pow(u, (r - 1) >> ctx.k, r) == pow(ctx.zeta_2k, e, r)
     print(f"  log({u}) = {e}   defining identity holds: {check}")
 print("\nnote log(-1) = 0: the whole construction is insensitive to unit signs.")

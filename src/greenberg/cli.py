@@ -44,9 +44,16 @@ def _level(text: str) -> int:
     return n
 
 
+def _prime_count(text: str) -> int:
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"{count} is below 2: a pair functional needs two primes")
+    return count
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--primes", type=int, default=15,
-                   help="auxiliary primes per level (default 15)")
+    p.add_argument("--primes", type=_prime_count, default=15,
+                   help="auxiliary primes per level, at least 2 (default 15)")
     p.add_argument("--max-level", type=_level, default=13,
                    help=f"give up past this level, 1 to {MAX_LEVEL} (default 13)")
     p.add_argument("--adaptive", action="store_true",

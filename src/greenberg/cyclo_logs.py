@@ -3,22 +3,23 @@
 For a prime r = 1 mod 2^(n+2)*f and a context embedding the order-2^(n+3)*f
 roots of unity in F_{r^2}, each unit u gives a polynomial whose X^i
 coefficient is the 2-power discrete log of the i-th conjugate of u reduced
-mod r.  The three families:
+mod r.  Every product is computed in F_r: the roots it needs are powers of
+the context's norm N, an element of F_r.  The three families:
 
   * eta:   products of ker(chi)-conjugates of zeta4 * (zeta_{2^(n+3)} zeta_f
            - their inverses); one product of phi(f)/2 factors per coefficient
-           (the hot loop).  Each factor is an F_{r^2} root of unity times
+           (the hot loop).  Each factor is a power of zeta_{2^(n+3)} times
            an element of F_r, so the loop is an F_r product over the kernel,
-           vectorized over all 2^n conjugates, times one F_{r^2} prefactor
-           per conjugate,
+           vectorized over all 2^n conjugates, times one prefactor per
+           conjugate, a power of N,
   * beta:  a single cyclotomic-unit ratio of 2-power roots per coefficient,
   * delta (only f = 1 mod 8): a G_n-invariant unit, so one scalar c with
            log-polynomial c * (1 + X + ... + X^(2^n - 1)).
 
 eta and beta take their discrete logs as one vector over the conjugates
 (:func:`~greenberg.finite_field.dlog_two_power_vec`).  Every eta product is
-asserted to land in F_r before its discrete log is taken; a failure would
-mean an inconsistent embedding and must never happen.
+asserted to land in F_r before its discrete log is taken; a failure means
+inputs outside the algorithm's domain and must never happen in a run.
 """
 
 from __future__ import annotations
@@ -98,13 +99,6 @@ def _zeta_f_table(ctx: FieldContext) -> list[int]:
     return power_table(ctx.zeta_f, ctx.f, ctx.r).tolist()
 
 
-def _rational_w(ctx: FieldContext) -> int:
-    """w = zeta_{2^(n+3)}^2, of order 2^(n+2), which divides r - 1."""
-    w = ctx.field.mul(ctx.zeta_2n3, ctx.zeta_2n3)
-    assert w[1] == 0, "2^(n+2) root of unity must be rational over F_r"
-    return w[0]
-
-
 def _conjugate_exponents(n: int) -> np.ndarray:
     """3^i mod 2^(n+3) for the 2^n conjugates i (3 generates G_n)."""
     mod = 1 << (n + 3)
@@ -135,23 +129,24 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
 
     times an F_r product, formed for all 2^n conjugates at once: a block of
     kernel residues by the 2^n conjugates at a time, each block folded to
-    one vector by pairwise products.  Only the prefactor is an F_{r^2}
-    element, and it must be Frobenius-fixed.
+    one vector by pairwise products.  With y = a + sqrt(q) the context's
+    candidate, A_0 = y^((r^2-1)/2^(n+3)), so A_0^(-|ker|) is the power
+    N^(-|ker| (r-1)/2^(n+3)) of the norm N = y^(r+1), and it lies in F_r
+    only when that exponent is an integer.
     """
     assert kernel.f == ctx.f, "kernel and context disagree on f"
-    gf = ctx.field
     r, n, f = ctx.r, ctx.n, ctx.f
     ord2 = 1 << (n + 3)
     ksize = len(kernel.residues)
     # conjugate i's prefactor is the 3^i-th power of conjugate 0's
-    # (A_(i+1) = A_i^3), and an odd power of a 2-power root of unity is
-    # Frobenius-fixed exactly when the root is
-    pre = gf.mul((pow(ctx.zeta4, ksize, r), 0), gf.pow(ctx.zeta_2n3, -ksize % ord2))
-    assert gf.in_base(pre), "eta conjugate product left F_r"
+    # (A_(i+1) = A_i^3), and an odd power of a 2-power root of unity lies in
+    # F_r exactly when the root does
+    assert ksize * (r - 1) % ord2 == 0, "eta conjugate product left F_r"
+    pre = pow(ctx.zeta4, ksize, r) * pow(ctx.norm, -(ksize * (r - 1) // ord2), r) % r
     e3 = _conjugate_exponents(n)
-    acc = mulmod_vec(power_table(pre[0], ord2, r)[e3],
+    acc = mulmod_vec(power_table(pre, ord2, r)[e3],
                      pow(ctx.zeta_f, -sum(kernel.residues) % f, r), r)
-    wpow = power_table(_rational_w(ctx), ord2 // 2, r)[e3 % (ord2 // 2)]
+    wpow = power_table(ctx.w, ord2 // 2, r)[e3 % (ord2 // 2)]
     zsq = power_table(ctx.zeta_f ** 2 % r, f, r)[list(kernel.residues)]
     rows = max(1, _BLOCK >> n)
     for start in range(0, ksize, rows):
@@ -177,7 +172,7 @@ def log_poly_beta(ctx: FieldContext) -> LogPoly:
     r, n = ctx.r, ctx.n
     ord2 = 1 << (n + 2)
     e = _conjugate_exponents(n) % ord2
-    wpow = power_table(_rational_w(ctx), ord2, r)
+    wpow = power_table(ctx.w, ord2, r)
     num = mulmod_vec(wpow[-e % ord2], (1 - wpow[3 * e % ord2]) % r, r)
     den = (1 - wpow[e]) % r
     logs = dlog_two_power_vec(np.concatenate([num, den]), ctx)

@@ -1,13 +1,13 @@
-"""Arithmetic in F_r and F_{r^2} for split primes r, with certified roots of unity.
+"""Arithmetic in F_r for split primes r, with certified roots of unity.
 
 A verification run at level n with radicand f draws auxiliary primes
-r = 1 mod 2^(n+2)*f.  For such r the field F_{r^2} contains an element of
+r = 1 mod 2^(n+2)*f.  For such r the field F_{r^2} = F_r(sqrt(q)), with q
+the smallest positive quadratic nonresidue mod r, contains an element of
 exact multiplicative order 2^(n+3)*f; a :class:`FieldContext` packages one
-deterministic choice of that element together with the derived roots of
-unity every log-polynomial evaluation needs.  Elements of F_r are plain
-ints in [0, r); elements of F_{r^2} = F_r(sqrt(q)) are (a, b) pairs meaning
-a + b*sqrt(q), with q the smallest positive quadratic nonresidue mod r.
-Only the context's construction and a few prefactors work in F_{r^2}.
+deterministic choice of that element through the roots of unity every
+log-polynomial evaluation needs.  Each of those roots is a power of the
+norm a^2 - q of the chosen candidate a + sqrt(q), so all of them, and all
+arithmetic here, live in F_r: elements are plain ints in [0, r).
 
 The log-polynomials are computed on residue vectors: numpy arrays of
 elements of F_r with elementwise products (:func:`mulmod_vec`), powers,
@@ -19,11 +19,9 @@ arrays of Python ints beyond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-Fp2 = tuple[int, int]
 
 _NUMPY_LIMIT = 1 << 31          # int64 products of two residues stay exact
 _FLOAT_LIMIT = 1 << 50          # float-corrected int64 products are exact below this
@@ -85,45 +83,6 @@ def factorize(m: int) -> dict[int, int]:
     return out
 
 
-class Fp2Field:
-    """F_{r^2} = F_r(sqrt(q)) with elements as (a, b) = a + b*sqrt(q)."""
-
-    __slots__ = ("r", "q")
-
-    def __init__(self, r: int, q: int | None = None):
-        self.r = r
-        self.q = smallest_nonresidue(r) if q is None else q
-
-    def mul(self, x: Fp2, y: Fp2) -> Fp2:
-        r = self.r
-        a = (x[0] * y[0] + self.q * (x[1] * y[1] % r)) % r
-        b = (x[0] * y[1] + x[1] * y[0]) % r
-        return a, b
-
-    def pow(self, x: Fp2, e: int) -> Fp2:
-        acc: Fp2 = (1, 0)
-        base = x
-        while e > 0:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def inv(self, x: Fp2) -> Fp2:
-        # (a + b*sqrt(q))^(-1) = (a - b*sqrt(q)) / (a^2 - q*b^2)
-        r = self.r
-        norm = (x[0] * x[0] - self.q * (x[1] * x[1] % r)) % r
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in F_{r^2}")
-        ninv = pow(norm, -1, r)
-        return x[0] * ninv % r, (r - x[1]) * ninv % r
-
-    def in_base(self, x: Fp2) -> bool:
-        """Frobenius-fixed elements are exactly those with zero sqrt(q) part."""
-        return x[1] == 0
-
-
 @dataclass(frozen=True)
 class FieldContext:
     """One deterministic embedding of the order-2^(n+3)*f roots of unity.
@@ -132,40 +91,40 @@ class FieldContext:
     three functionals at r differ from any other valid choice by a single
     invertible element of Z/2^k[G_n].
 
+    The embedding is zeta = y^((r^2-1)/(2^(n+3)*f)) for y = a + sqrt(q) in
+    F_{r^2}, but every root the run uses is a power zeta^j with (r+1) | j, so
+    it is a power of the norm N = y^(r+1) = a^2 - q, which lies in F_r:
+    zeta_m = N^((r-1)/m).  All fields are F_r integers.
+
     Invariants certified at construction time:
       * r = 1 mod 2^(n+2)*f,
-      * zeta has exact order 2^(n+3)*f (zeta^(N/p) != 1 for every prime p | 2f),
-      * zeta_2k, zeta4 and zeta_f land in F_r.
+      * zeta has exact order 2^(n+3)*f (N^((r-1)/p) != 1 for every prime p | 2f).
     """
 
     r: int
     n: int
     f: int
     k: int
-    q: int
-    zeta: Fp2                 # exact order 2^(n+3) * f
-    zeta4: int                # order 4, in F_r
-    zeta_2n3: Fp2             # order 2^(n+3)
-    zeta_f: int               # order f, in F_r
-    zeta_2k: int              # order 2^k, in F_r
-    field: Fp2Field = field(repr=False, default=None, compare=False)  # type: ignore[assignment]
-
-
-def _exact_order_certificate(gf: Fp2Field, z: Fp2, order: int, prime_divisors) -> bool:
-    if gf.pow(z, order) != (1, 0):
-        return False
-    return all(gf.pow(z, order // p) != (1, 0) for p in prime_divisors)
+    q: int                    # smallest quadratic nonresidue mod r
+    a: int                    # the embedding's candidate y = a + sqrt(q)
+    norm: int                 # N = a^2 - q, a quadratic nonresidue
+    zeta4: int                # order 4
+    w: int                    # order 2^(n+2): the square of zeta_{2^(n+3)}
+    zeta_f: int               # order f
+    zeta_2k: int              # order 2^k
 
 
 def build_field_context(r: int, n: int, f: int, *, k: int | None = None,
                         candidate_offset: int = 0) -> FieldContext:
     """Construct the shared embedding for the prime r at level n.
 
-    Candidates y = a + sqrt(q) are swept over a = 0, 1, 2, ... and raised to
-    (r^2-1)/(2^(n+3)*f); the first power of exact order wins, so contexts are
-    reproducible.  ``candidate_offset`` skips that many valid candidates
-    (used by the unit-invariance checks to build an alternative embedding).
-    ``k`` is the log precision, at most n+1 (the default).
+    Candidates y = a + sqrt(q) are swept over a = 0, 1, 2, ...; y gives a
+    root of exact order 2^(n+3)*f when its norm N = a^2 - q passes
+    N^((r-1)/p) != 1 for p = 2 and every prime p | f.  The first passing
+    candidate wins, so contexts are reproducible.  ``candidate_offset``
+    skips that many passing candidates (used by the unit-invariance checks
+    to build an alternative embedding).  ``k`` is the log precision, at
+    most n+1 (the default).
     """
     if k is None:
         k = n + 1
@@ -177,43 +136,34 @@ def build_field_context(r: int, n: int, f: int, *, k: int | None = None,
     if not is_prime(r):
         raise ValueError(f"r={r} is not prime")
 
-    gf = Fp2Field(r)
-    order = (1 << (n + 3)) * f
-    cofactor = (r * r - 1) // order
+    q = smallest_nonresidue(r)
     divisors = [2] + sorted(factorize(f))
-
-    zeta: Fp2 | None = None
     skip = candidate_offset
     for a in range(r):
-        z = gf.pow((a, 1), cofactor)
-        if _exact_order_certificate(gf, z, order, divisors):
+        norm = (a * a - q) % r
+        if all(pow(norm, (r - 1) // p, r) != 1 for p in divisors):
             if skip == 0:
-                zeta = z
                 break
             skip -= 1
-    if zeta is None:
-        raise ValueError(f"no generator of order {order} found for r={r}")
-
-    zeta4 = gf.pow(zeta, order // 4)
-    zeta_2n3 = gf.pow(zeta, f)
-    zeta_f = gf.pow(zeta, order // f) if f > 1 else (1, 0)
-    zeta_2k = gf.pow(zeta, order >> k)
-    # 2^k and 4 divide r-1, and f divides r-1: these roots are rational.
-    assert zeta4[1] == 0 and zeta_f[1] == 0 and zeta_2k[1] == 0
-    return FieldContext(r=r, n=n, f=f, k=k, q=gf.q, zeta=zeta, zeta4=zeta4[0],
-                        zeta_2n3=zeta_2n3, zeta_f=zeta_f[0], zeta_2k=zeta_2k[0],
-                        field=gf)
+    else:
+        raise ValueError(f"no generator of order {(1 << (n + 3)) * f} found for r={r}")
+    return FieldContext(r=r, n=n, f=f, k=k, q=q, a=a, norm=norm,
+                        zeta4=pow(norm, (r - 1) // 4, r),
+                        w=pow(norm, (r - 1) >> (n + 2), r),
+                        zeta_f=pow(norm, (r - 1) // f, r),
+                        zeta_2k=pow(norm, (r - 1) >> k, r))
 
 
 def subcontext(ctx: FieldContext, m: int, *, k: int | None = None) -> FieldContext:
-    """Level-m context whose roots are the 2^(n-m)-th powers of ctx's roots.
+    """Level-m context whose embedding is the 2^(n-m)-th power of ctx's.
 
     Used by the norm-compatibility checks, which need the two levels to share
-    one embedding and one log precision.  Every stored root is the literal
-    2^(n-m)-th power of the parent's (in particular the order-f root, whose
-    powered version only coincides with the parent's when 2 is in the
-    character kernel); the order-4 and order-2^k roots collapse back to the
-    parent's own, which keeps the discrete-log scale identical.
+    one embedding and one log precision.  w and the order-f root are the
+    literal 2^(n-m)-th powers of the parent's, the parts of zeta^(2^(n-m))
+    (deliberately not N^((r-1)/f): the level-m units must come from that
+    root for their logs to be partial sums of the level-n ones); the order-4
+    and order-2^k roots are the norm's own, which keeps the discrete-log
+    scale identical.
     """
     if m > ctx.n:
         raise ValueError("subcontext level must not exceed the parent level")
@@ -221,43 +171,11 @@ def subcontext(ctx: FieldContext, m: int, *, k: int | None = None) -> FieldConte
         k = m + 1
     if k > m + 1:
         raise ValueError("log precision exceeds the subcontext level bound")
-    gf = ctx.field
-    shift = ctx.n - m
-    order = (1 << (m + 3)) * ctx.f
-    zeta = gf.pow(ctx.zeta, 1 << shift)
-    divisors = [2] + sorted(factorize(ctx.f))
-    assert _exact_order_certificate(gf, zeta, order, divisors)
-    zeta_2n3 = gf.pow(ctx.zeta_2n3, 1 << shift)
-    zeta_f = pow(ctx.zeta_f, 1 << shift, ctx.r)
-    zeta_2k = gf.pow(zeta, order >> k)
-    assert zeta_2k[1] == 0
-    if k == ctx.k:
-        # equal precision means the identical discrete-log base
-        assert zeta_2k[0] == ctx.zeta_2k
-    return FieldContext(r=ctx.r, n=m, f=ctx.f, k=k, q=ctx.q, zeta=zeta,
-                        zeta4=ctx.zeta4, zeta_2n3=zeta_2n3, zeta_f=zeta_f,
-                        zeta_2k=zeta_2k[0], field=gf)
-
-
-def dlog_two_power(u: int, ctx: FieldContext) -> int:
-    """Discrete log of u^((r-1)/2^k) to base zeta_2k, bit by bit.
-
-    Well defined for every u in F_r^x: the power lands in the unique cyclic
-    subgroup of order 2^k, generated by zeta_2k.  Returns e in [0, 2^k).
-    """
-    r, k = ctx.r, ctx.k
-    u %= r
-    if u == 0:
-        raise ZeroDivisionError("dlog of zero")
-    v = pow(u, (r - 1) >> k, r)
-    g_inv = pow(ctx.zeta_2k, -1, r)
-    e = 0
-    for j in range(k):
-        w = pow(v * pow(g_inv, e, r) % r, 1 << (k - 1 - j), r)
-        if w != 1:
-            assert w == r - 1, "element outside the order-2^k subgroup"
-            e |= 1 << j
-    return e
+    r, shift = ctx.r, 1 << (ctx.n - m)
+    return FieldContext(r=r, n=m, f=ctx.f, k=k, q=ctx.q, a=ctx.a, norm=ctx.norm,
+                        zeta4=ctx.zeta4, w=pow(ctx.w, shift, r),
+                        zeta_f=pow(ctx.zeta_f, shift, r),
+                        zeta_2k=pow(ctx.norm, (r - 1) >> k, r))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +226,12 @@ def power_table(g: int, count: int, r: int) -> np.ndarray:
 
 
 def dlog_two_power_vec(u: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    """:func:`dlog_two_power` elementwise over a residue vector.
+    """Discrete logs of u^((r-1)/2^k) to base zeta_2k, elementwise.
 
-    One vector power sends every entry into the order-2^k subgroup; each
-    exponent is then found in the sorted table of the 2^k powers of zeta_2k.
+    Well defined for every entry in F_r^x: the power lands in the unique
+    cyclic subgroup of order 2^k, generated by zeta_2k.  One vector power
+    sends every entry there; each exponent in [0, 2^k) is then found in the
+    sorted table of the 2^k powers of zeta_2k.
     """
     r, k = ctx.r, ctx.k
     u = u % r
@@ -324,3 +244,8 @@ def dlog_two_power_vec(u: np.ndarray, ctx: FieldContext) -> np.ndarray:
     pos = np.minimum(np.searchsorted(ranked, v), len(ranked) - 1)
     assert (ranked[pos] == v).all(), "element outside the order-2^k subgroup"
     return order[pos]
+
+
+def dlog_two_power(u: int, ctx: FieldContext) -> int:
+    """:func:`dlog_two_power_vec` of the single residue u mod r."""
+    return int(dlog_two_power_vec(residue_vec([u % ctx.r], ctx.r), ctx)[0])

@@ -25,7 +25,7 @@ import numpy as np
 
 from greenberg.cyclo_logs import (PrimeLogRecord, default_cache_dir, find_split_primes,
                                   get_records, iter_records)
-from greenberg.group_ring import (HowellIdeal, ReportedIdeal, RingSpec, Vec,
+from greenberg.group_ring import (MAX_LEVEL, HowellIdeal, ReportedIdeal, RingSpec, Vec,
                                   canonical_generators, divided_spec, from_coeffs, full_spec,
                                   norm_element, poly_mul_mod, power_table, reduce_poly, scalar,
                                   to_T_basis)
@@ -48,6 +48,12 @@ class RunConfig:
     max_level: int = 13
     adaptive: bool = False
     cache_dir: str | Path | None = None
+
+    def __post_init__(self):
+        if self.primes < 2:
+            raise ValueError(f"primes={self.primes}: a pair functional needs two primes")
+        if not 1 <= self.max_level <= MAX_LEVEL:
+            raise ValueError(f"max_level={self.max_level} is outside [1, {MAX_LEVEL}]")
 
     def resolved_cache_dir(self) -> Path | None:
         if self.cache_dir is not None:

@@ -7,20 +7,22 @@ counting, explicit fundamental units vs period parity, exhaustive module
 enumeration vs Howell reduction, the full-rank Howell engine vs the ideal
 engine that works modulo the lowest monic element, full-rank T-basis pair
 functionals vs the pairing modulo that element in the X-basis, the
-cyclotomic-norm square identity vs the eta product formula, and the
+cyclotomic-norm square identity vs the eta product formula, the
 conjugate-by-conjugate F_{r^2} kernel product vs the F_r product vectorized
-over conjugates.
+over conjugates, the F_{r^2} candidate sweep vs the sweep over norms in F_r,
+and the bit-by-bit 2-power discrete log vs the sorted-table vector lookup.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
 from greenberg.cyclo_logs import LogPoly
-from greenberg.finite_field import FieldContext, dlog_two_power, factorize
+from greenberg.finite_field import FieldContext, factorize, is_prime, smallest_nonresidue
 from greenberg.group_ring import (RingSpec, Vec, from_coeffs, full_spec, howell_form,
                                   norm_element, poly_mul_mod, t_shift, to_T_basis)
 from greenberg.quadratic import KernelSet
@@ -299,6 +301,123 @@ def full_rank_pair_functionals(records, spec: RingSpec) -> list[Vec]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# F_{r^2} and the embedding built there
+
+Fp2 = tuple[int, int]
+
+
+class Fp2Field:
+    """F_{r^2} = F_r(sqrt(q)) with elements as (a, b) = a + b*sqrt(q)."""
+
+    __slots__ = ("r", "q")
+
+    def __init__(self, r: int, q: int | None = None):
+        self.r = r
+        self.q = smallest_nonresidue(r) if q is None else q
+
+    def mul(self, x: Fp2, y: Fp2) -> Fp2:
+        r = self.r
+        a = (x[0] * y[0] + self.q * (x[1] * y[1] % r)) % r
+        b = (x[0] * y[1] + x[1] * y[0]) % r
+        return a, b
+
+    def pow(self, x: Fp2, e: int) -> Fp2:
+        acc: Fp2 = (1, 0)
+        base = x
+        while e > 0:
+            if e & 1:
+                acc = self.mul(acc, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return acc
+
+    def inv(self, x: Fp2) -> Fp2:
+        # (a + b*sqrt(q))^(-1) = (a - b*sqrt(q)) / (a^2 - q*b^2)
+        r = self.r
+        norm = (x[0] * x[0] - self.q * (x[1] * x[1] % r)) % r
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero in F_{r^2}")
+        ninv = pow(norm, -1, r)
+        return x[0] * ninv % r, (r - x[1]) * ninv % r
+
+    def in_base(self, x: Fp2) -> bool:
+        """Frobenius-fixed elements are exactly those with zero sqrt(q) part."""
+        return x[1] == 0
+
+
+def _exact_order_certificate(gf: Fp2Field, z: Fp2, order: int, prime_divisors) -> bool:
+    if gf.pow(z, order) != (1, 0):
+        return False
+    return all(gf.pow(z, order // p) != (1, 0) for p in prime_divisors)
+
+
+@dataclass(frozen=True)
+class Fp2Context:
+    """The embedding zeta of exact order 2^(n+3)*f as seen from F_{r^2}: its
+    candidate a, zeta_2n3 = zeta^f, and the roots that land in F_r as ints."""
+
+    a: int
+    zeta4: int
+    zeta_2n3: Fp2
+    zeta_f: int
+    zeta_2k: int
+
+
+def build_field_context_fp2(r: int, n: int, f: int, *, k: int | None = None,
+                            candidate_offset: int = 0) -> Fp2Context:
+    """The embedding found in F_{r^2}: candidates y = a + sqrt(q) for
+    a = 0, 1, 2, ... are raised to (r^2-1)/(2^(n+3)*f), and the first power
+    whose exact order F_{r^2} arithmetic certifies wins (after
+    ``candidate_offset`` skips)."""
+    k = n + 1 if k is None else k
+    assert (r - 1) % ((1 << (n + 2)) * f) == 0 and is_prime(r)
+    gf = Fp2Field(r)
+    order = (1 << (n + 3)) * f
+    cofactor = (r * r - 1) // order
+    divisors = [2] + sorted(factorize(f))
+    skip = candidate_offset
+    for a in range(r):
+        zeta = gf.pow((a, 1), cofactor)
+        if _exact_order_certificate(gf, zeta, order, divisors):
+            if skip == 0:
+                break
+            skip -= 1
+    else:
+        raise ValueError(f"no generator of order {order} found for r={r}")
+    zeta4 = gf.pow(zeta, order // 4)
+    zeta_f = gf.pow(zeta, order // f)
+    zeta_2k = gf.pow(zeta, order >> k)
+    # 4, f and 2^k divide r-1: these roots are Frobenius-fixed
+    assert gf.in_base(zeta4) and gf.in_base(zeta_f) and gf.in_base(zeta_2k)
+    return Fp2Context(a=a, zeta4=zeta4[0], zeta_2n3=gf.pow(zeta, f),
+                      zeta_f=zeta_f[0], zeta_2k=zeta_2k[0])
+
+
+def eta_root(ctx: FieldContext) -> tuple[Fp2Field, Fp2]:
+    """F_{r^2} and A = zeta_{2^(n+3)} = (a + sqrt(q))^((r^2-1)/2^(n+3)),
+    rebuilt from the context's candidate a."""
+    gf = Fp2Field(ctx.r, ctx.q)
+    return gf, gf.pow((ctx.a, 1), (ctx.r * ctx.r - 1) >> (ctx.n + 3))
+
+
+def dlog_two_power_bits(u: int, ctx: FieldContext) -> int:
+    """Discrete log of u^((r-1)/2^k) to base zeta_2k, bit by bit."""
+    r, k = ctx.r, ctx.k
+    u %= r
+    if u == 0:
+        raise ZeroDivisionError("dlog of zero")
+    v = pow(u, (r - 1) >> k, r)
+    g_inv = pow(ctx.zeta_2k, -1, r)
+    e = 0
+    for j in range(k):
+        w = pow(v * pow(g_inv, e, r) % r, 1 << (k - 1 - j), r)
+        if w != 1:
+            assert w == r - 1, "element outside the order-2^k subgroup"
+            e |= 1 << j
+    return e
+
+
 def eta_square_log(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
     """Discrete log of the i-th conjugate of eta^2 via the cyclotomic-norm
     product prod_{c in {1,-1}, a in ker}(1 - zeta_{2^(n+2)}^(c 3^i) zeta_f^(2a)),
@@ -311,8 +430,9 @@ def eta_square_log(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
     """
     assert kernel.sign_case == "chi_f"
     r = ctx.r
-    w = ctx.field.mul(ctx.zeta_2n3, ctx.zeta_2n3)
-    assert w[1] == 0
+    gf, A = eta_root(ctx)
+    w = gf.mul(A, A)
+    assert gf.in_base(w)
     w = w[0]
     zf2 = ctx.zeta_f * ctx.zeta_f % r
     ord2 = 1 << (ctx.n + 2)
@@ -322,7 +442,7 @@ def eta_square_log(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
         wc = pow(w, c, r)
         for a in kernel.residues:
             acc = acc * (1 - wc * pow(zf2, a, r)) % r
-    return dlog_two_power(acc, ctx)
+    return dlog_two_power_bits(acc, ctx)
 
 
 def eta_square_log_3mod4(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
@@ -339,8 +459,9 @@ def eta_square_log_3mod4(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
     """
     assert kernel.sign_case == "chi_minus_f"
     r, f = ctx.r, ctx.f
-    w = ctx.field.mul(ctx.zeta_2n3, ctx.zeta_2n3)
-    assert w[1] == 0
+    gf, A = eta_root(ctx)
+    w = gf.mul(A, A)
+    assert gf.in_base(w)
     w = w[0]
     z2 = ctx.zeta_f * ctx.zeta_f % r
     ord2 = 1 << (ctx.n + 2)
@@ -352,7 +473,7 @@ def eta_square_log_3mod4(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
         if math.gcd(a, f) != 1:
             continue
         acc = acc * (1 - (wp if a in kerset else wm) * pow(z2, a, r)) % r
-    return dlog_two_power(acc, ctx)
+    return dlog_two_power_bits(acc, ctx)
 
 
 def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
@@ -367,7 +488,7 @@ def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
     required to be Frobenius-fixed.
     """
     assert kernel.f == ctx.f, "kernel and context disagree on f"
-    gf = ctx.field
+    gf, A0 = eta_root(ctx)
     r, q, n = ctx.r, ctx.q, ctx.n
     ord2 = 1 << (n + 3)
     ksize = len(kernel.residues)
@@ -375,8 +496,8 @@ def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
     coeffs = []
     for i in range(1 << n):
         e3 = pow(3, i, ord2)
-        A = gf.pow(ctx.zeta_2n3, e3)
-        Ai = gf.pow(ctx.zeta_2n3, ord2 - e3)
+        A = gf.pow(A0, e3)
+        Ai = gf.pow(A0, ord2 - e3)
         pa, pb = 1, 0
         for a in kernel.residues:
             z, zi = tab[a], tab[ctx.f - a]
@@ -387,5 +508,5 @@ def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
         pa = pa * z4 % r
         pb = pb * z4 % r
         assert pb == 0 and pa != 0, "eta conjugate product left F_r"
-        coeffs.append(dlog_two_power(pa, ctx))
+        coeffs.append(dlog_two_power_bits(pa, ctx))
     return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs))

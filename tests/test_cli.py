@@ -60,6 +60,16 @@ class TestVerifyCommand:
             code, _, _ = _run(capsys, "verify", "--f", "949", "--max-level", ok)
             assert code in (0, 2), ok
 
+    def test_primes_below_two_usage_error(self, capsys):
+        # a pair functional needs two primes: fewer can never certify
+        for cmd in (("verify", "--f", "949"), ("table", "--min", "3", "--max", "9")):
+            for bad in ("1", "0", "-3"):
+                code, out, err = _run(capsys, *cmd, "--primes", bad)
+                assert code == 1, (cmd, bad)
+                assert out == "" and "usage:" in err and "--primes" in err
+        code, _, _ = _run(capsys, "verify", "--f", "949", "--primes", "2")
+        assert code in (0, 2)
+
 
 class TestFormats:
     def test_json_deterministic_and_complete(self, capsys):

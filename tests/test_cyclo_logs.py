@@ -88,6 +88,45 @@ class TestAgainstPaperTables:
         assert rec.eta.coeffs == (0, 0)
 
 
+# exact records under the production embedding: (f, n) -> r -> (eta, beta,
+# delta) in the X-basis.  Unlike the unit-insensitive checks above, these
+# change when the embedding does.
+GOLDEN_RECORDS = {
+    (949, 1): {
+        22777: ((3, 1), (1, 3), None),
+        45553: ((3, 3), (1, 3), None),
+        60737: ((1, 3), (1, 3), None),
+        68329: ((2, 0), (2, 2), None),
+        136657: ((1, 3), (3, 1), None),
+        151841: ((0, 0), (2, 2), None),
+    },
+    (949, 2): {
+        45553: ((2, 2, 3, 3), (4, 2, 5, 5), None),
+        60737: ((2, 2, 1, 7), (3, 2, 6, 5), None),
+        136657: ((4, 4, 7, 1), (0, 7, 3, 6), None),
+        151841: ((4, 7, 4, 1), (2, 4, 4, 6), None),
+        182209: ((0, 4, 6, 2), (5, 2, 5, 4), None),
+        273313: ((0, 6, 7, 1), (7, 6, 0, 3), None),
+    },
+    (6817, 2): {
+        109073: ((6, 0, 6, 4), (1, 4, 4, 7), 0),
+        1090721: ((6, 4, 2, 4), (5, 1, 0, 2), 2),
+        1745153: ((0, 6, 4, 6), (7, 5, 4, 0), 4),
+        5889889: ((6, 4, 6, 0), (2, 3, 3, 0), 0),
+    },
+}
+
+
+@pytest.mark.parametrize("f,n", sorted(GOLDEN_RECORDS))
+def test_golden_records(f, n):
+    table = GOLDEN_RECORDS[f, n]
+    ker = character_kernel(f)
+    assert find_split_primes(f, n, len(table)) == sorted(table)
+    for r, want in table.items():
+        rec = compute_record(f, n, r, ker)
+        assert (rec.eta.coeffs, rec.beta.coeffs, rec.delta_scalar) == want, r
+
+
 class TestBeta:
     def test_level_zero_is_zero_sequence(self):
         # beta_0 = -1 and log(-1) = 0 whenever r = 1 mod 2^(k+1)

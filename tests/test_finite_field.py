@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenberg.finite_field import (Fp2Field, build_field_context, dlog_two_power,
-                                    dlog_two_power_vec, factorize, is_prime, residue_vec,
-                                    smallest_nonresidue, subcontext)
-from oracles import trial_is_prime
+from greenberg.cyclo_logs import find_split_primes
+from greenberg.finite_field import (build_field_context, dlog_two_power, dlog_two_power_vec,
+                                    factorize, is_prime, residue_vec, smallest_nonresidue,
+                                    subcontext)
+from greenberg.quadratic import is_squarefree
+from oracles import (Fp2Field, build_field_context_fp2, dlog_two_power_bits, eta_root,
+                     trial_is_prime)
 
 
 class TestIsPrime:
@@ -37,15 +40,28 @@ class TestIsPrime:
         assert is_prime(m) == trial_is_prime(m)
 
 
+def _zeta(ctx):
+    """The embedding (a + sqrt(q))^((r^2-1)/(2^(n+3)*f)), rebuilt in F_{r^2}."""
+    gf = Fp2Field(ctx.r, ctx.q)
+    return gf, gf.pow((ctx.a, 1), (ctx.r * ctx.r - 1) // ((1 << (ctx.n + 3)) * ctx.f))
+
+
 class TestFieldContext:
     def test_paper_example_orders(self):
         # 949 = 13 * 73; zeta has exact order 2^4 * 949 = 15184
         ctx = build_field_context(22777, 1, 949)
-        gf = ctx.field
+        gf, zeta = _zeta(ctx)
         N = 15184
-        assert gf.pow(ctx.zeta, N) == (1, 0)
+        assert gf.pow(zeta, N) == (1, 0)
         for p in (2, 13, 73):
-            assert gf.pow(ctx.zeta, N // p) != (1, 0)
+            assert gf.pow(zeta, N // p) != (1, 0)
+            assert pow(ctx.norm, (ctx.r - 1) // p, ctx.r) != 1
+
+    def test_norm_of_candidate(self):
+        ctx = build_field_context(22777, 1, 949)
+        gf, _ = _zeta(ctx)
+        assert (ctx.norm, 0) == gf.pow((ctx.a, 1), ctx.r + 1)
+        assert ctx.norm == (ctx.a * ctx.a - ctx.q) % ctx.r
 
     def test_second_paper_prime(self):
         ctx = build_field_context(45553, 1, 949)
@@ -66,9 +82,11 @@ class TestFieldContext:
             n = rng.randrange(0, 3)
             r = find_split_primes(f, n, 2)[rng.randrange(2)]
             ctx = build_field_context(r, n, f)
-            gf = ctx.field
+            gf, A = eta_root(ctx)
             assert pow(ctx.zeta4, 2, r) == r - 1            # order 4
-            assert gf.pow(ctx.zeta_2n3, 1 << (n + 2)) == (r - 1, 0)
+            assert gf.pow(A, 1 << (n + 2)) == (r - 1, 0)
+            assert (ctx.w, 0) == gf.mul(A, A)
+            assert pow(ctx.w, 1 << (n + 1), r) == r - 1
             assert pow(ctx.zeta_f, f, r) == 1
             for p in factorize(f):
                 assert pow(ctx.zeta_f, f // p, r) != 1
@@ -77,15 +95,34 @@ class TestFieldContext:
     def test_candidate_offset_changes_zeta(self):
         a = build_field_context(22777, 1, 949)
         b = build_field_context(22777, 1, 949, candidate_offset=1)
-        assert a.zeta != b.zeta
+        assert _zeta(a) != _zeta(b)
 
     def test_subcontext_roots_are_powers(self):
         ctx = build_field_context(45553, 2, 949)
         sub = subcontext(ctx, 1)
-        gf = ctx.field
-        assert sub.zeta == gf.pow(ctx.zeta, 2)
+        gf, zeta = _zeta(ctx)
+        assert _zeta(sub)[1] == gf.pow(zeta, 2)
         assert sub.k == 2
-        assert gf.pow(sub.zeta_2n3, 1 << 4) == (1, 0)
+        assert gf.pow(eta_root(sub)[1], 1 << 4) == (1, 0)
+        assert sub.w == pow(ctx.w, 2, ctx.r)
+        assert sub.zeta_f == pow(ctx.zeta_f, 2, ctx.r)
+
+    def test_matches_fp2_sweep(self, rng):
+        # the sweep over norms in F_r picks the candidate, and the roots,
+        # that the sweep over candidate powers in F_{r^2} picks
+        radicands = [f for f in range(3, 3000, 2) if is_squarefree(f)]
+        for _ in range(200):
+            f = rng.choice(radicands)
+            n = rng.randrange(0, 8)
+            r = rng.choice(find_split_primes(f, n, 3))
+            k = rng.randrange(1, n + 2)
+            offset = rng.randrange(0, 3)
+            ctx = build_field_context(r, n, f, k=k, candidate_offset=offset)
+            ref = build_field_context_fp2(r, n, f, k=k, candidate_offset=offset)
+            case = (f, n, r, k, offset)
+            assert (ctx.a, ctx.zeta4, ctx.zeta_f, ctx.zeta_2k) == \
+                (ref.a, ref.zeta4, ref.zeta_f, ref.zeta_2k), case
+            assert (ctx.w, 0) == Fp2Field(r).pow(ref.zeta_2n3, 2), case
 
 
 class TestFp2:
@@ -176,11 +213,13 @@ def _large_context(bits: int, n: int, f: int):
 
 
 class TestDlogVec:
+    # the scalar reference is the bit-by-bit loop, not the production
+    # scalar dlog (a one-entry vector)
     def _check(self, ctx, rng):
         r = ctx.r
         vals = [1, r - 1] + [rng.randrange(1, r) for _ in range(60)]
         got = dlog_two_power_vec(residue_vec(vals, r), ctx)
-        assert got.tolist() == [dlog_two_power(u, ctx) for u in vals]
+        assert got.tolist() == [dlog_two_power_bits(u, ctx) for u in vals]
 
     def test_matches_scalar(self, rng, arithmetic_branch):
         for r, n, f in ((22777, 1, 949), (45553, 2, 949), (7681, 7, 5)):

@@ -194,6 +194,15 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(8)
 
+    def test_run_config_rejects_settings_that_cannot_certify(self):
+        from greenberg.group_ring import MAX_LEVEL
+        for bad in ({"primes": 1}, {"primes": 0}, {"max_level": 0},
+                    {"max_level": MAX_LEVEL + 1}):
+            with pytest.raises(ValueError):
+                RunConfig(**bad)
+        assert RunConfig(primes=2, max_level=MAX_LEVEL).max_level == MAX_LEVEL
+        assert RunConfig(max_level=1).primes == 15
+
     def test_unresolved_is_reported_not_raised(self):
         rep = verify(565, RunConfig(primes=8, max_level=1))
         assert not rep.resolved
