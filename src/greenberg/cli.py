@@ -36,25 +36,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _level(text: str) -> int:
-    n = int(text)
-    if not 1 <= n <= MAX_LEVEL:
-        raise argparse.ArgumentTypeError(
-            f"{n} is outside [1, {MAX_LEVEL}], the levels int64 arithmetic holds exactly")
-    return n
-
-
-def _prime_count(text: str) -> int:
-    count = int(text)
-    if count < 2:
-        raise argparse.ArgumentTypeError(f"{count} is below 2: a pair functional needs two primes")
-    return count
-
-
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--primes", type=_prime_count, default=15,
+    p.add_argument("--primes", type=int, default=15,
                    help="auxiliary primes per level, at least 2 (default 15)")
-    p.add_argument("--max-level", type=_level, default=13,
+    p.add_argument("--max-level", type=int, default=13,
                    help=f"give up past this level, 1 to {MAX_LEVEL} (default 13)")
     p.add_argument("--adaptive", action="store_true",
                    help="add primes until five in a row change nothing")
@@ -63,6 +48,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="log-record cache directory (env GREENBERG_CACHE)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel verifications for range sweeps")
+    p.set_defaults(parser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,8 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(primes=args.primes, max_level=args.max_level,
-                     adaptive=args.adaptive, cache_dir=args.cache_dir)
+    """The run settings; settings RunConfig rejects are usage errors."""
+    try:
+        return RunConfig(primes=args.primes, max_level=args.max_level,
+                         adaptive=args.adaptive, cache_dir=args.cache_dir)
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _reduction_hint(f: int) -> str:
@@ -283,6 +273,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    cfg = _config(args)
     # an empty range is legitimate: empty table, exit 0
     fs, skipped = [], []
     for f in range(max(args.min, 3), args.max + 1):
@@ -296,7 +287,6 @@ def cmd_table(args) -> int:
               f"Q(sqrt(2f)) shares the tower of Q(sqrt(f))): "
               f"{', '.join(str(s) for s in skipped[:20])}"
               f"{' ...' if len(skipped) > 20 else ''}", file=sys.stderr)
-    cfg = _config(args)
     if args.jobs > 1 and len(fs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             jobs = [(f, pool.submit(verify, f, cfg)) for f in fs]

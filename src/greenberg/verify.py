@@ -53,7 +53,8 @@ class RunConfig:
         if self.primes < 2:
             raise ValueError(f"primes={self.primes}: a pair functional needs two primes")
         if not 1 <= self.max_level <= MAX_LEVEL:
-            raise ValueError(f"max_level={self.max_level} is outside [1, {MAX_LEVEL}]")
+            raise ValueError(f"max_level={self.max_level} is outside [1, {MAX_LEVEL}], "
+                             "the levels int64 arithmetic holds exactly")
 
     def resolved_cache_dir(self) -> Path | None:
         if self.cache_dir is not None:

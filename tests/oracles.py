@@ -394,11 +394,11 @@ def build_field_context_fp2(r: int, n: int, f: int, *, k: int | None = None,
                       zeta_f=zeta_f[0], zeta_2k=zeta_2k[0])
 
 
-def eta_root(ctx: FieldContext) -> tuple[Fp2Field, Fp2]:
-    """F_{r^2} and A = zeta_{2^(n+3)} = (a + sqrt(q))^((r^2-1)/2^(n+3)),
-    rebuilt from the context's candidate a."""
-    gf = Fp2Field(ctx.r, ctx.q)
-    return gf, gf.pow((ctx.a, 1), (ctx.r * ctx.r - 1) >> (ctx.n + 3))
+def embedding_root(ctx: FieldContext, order: int) -> Fp2:
+    """The root (a + sqrt(q))^((r^2-1)/order) of F_{r^2}, rebuilt from the
+    context's candidate a: zeta for order 2^(n+3)*f, A = zeta_{2^(n+3)}
+    for order 2^(n+3)."""
+    return Fp2Field(ctx.r, ctx.q).pow((ctx.a, 1), (ctx.r * ctx.r - 1) // order)
 
 
 def dlog_two_power_bits(u: int, ctx: FieldContext) -> int:
@@ -430,10 +430,8 @@ def eta_square_log(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
     """
     assert kernel.sign_case == "chi_f"
     r = ctx.r
-    gf, A = eta_root(ctx)
-    w = gf.mul(A, A)
-    assert gf.in_base(w)
-    w = w[0]
+    w, w_sqrt_q = embedding_root(ctx, 1 << (ctx.n + 2))      # A^2
+    assert w_sqrt_q == 0
     zf2 = ctx.zeta_f * ctx.zeta_f % r
     ord2 = 1 << (ctx.n + 2)
     e = pow(3, i, ord2)
@@ -459,10 +457,8 @@ def eta_square_log_3mod4(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
     """
     assert kernel.sign_case == "chi_minus_f"
     r, f = ctx.r, ctx.f
-    gf, A = eta_root(ctx)
-    w = gf.mul(A, A)
-    assert gf.in_base(w)
-    w = w[0]
+    w, w_sqrt_q = embedding_root(ctx, 1 << (ctx.n + 2))      # A^2
+    assert w_sqrt_q == 0
     z2 = ctx.zeta_f * ctx.zeta_f % r
     ord2 = 1 << (ctx.n + 2)
     e = pow(3, i, ord2)
@@ -488,7 +484,8 @@ def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
     required to be Frobenius-fixed.
     """
     assert kernel.f == ctx.f, "kernel and context disagree on f"
-    gf, A0 = eta_root(ctx)
+    gf = Fp2Field(ctx.r, ctx.q)
+    A0 = embedding_root(ctx, 1 << (ctx.n + 3))
     r, q, n = ctx.r, ctx.q, ctx.n
     ord2 = 1 << (n + 3)
     ksize = len(kernel.residues)

@@ -56,6 +56,7 @@ class TestVerifyCommand:
             code, _, err = _run(capsys, "verify", "--f", "949", "--max-level", bad)
             assert code == 1, bad
             assert "usage:" in err and "--max-level" in err
+            assert f"max_level={bad} is outside" in err
         for ok in ("1", "20"):
             code, _, _ = _run(capsys, "verify", "--f", "949", "--max-level", ok)
             assert code in (0, 2), ok
@@ -67,6 +68,7 @@ class TestVerifyCommand:
                 code, out, err = _run(capsys, *cmd, "--primes", bad)
                 assert code == 1, (cmd, bad)
                 assert out == "" and "usage:" in err and "--primes" in err
+                assert f"primes={bad}: a pair functional needs two primes" in err
         code, _, _ = _run(capsys, "verify", "--f", "949", "--primes", "2")
         assert code in (0, 2)
 

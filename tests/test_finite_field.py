@@ -7,7 +7,7 @@ from greenberg.finite_field import (build_field_context, dlog_two_power, dlog_tw
                                     factorize, is_prime, residue_vec, smallest_nonresidue,
                                     subcontext)
 from greenberg.quadratic import is_squarefree
-from oracles import (Fp2Field, build_field_context_fp2, dlog_two_power_bits, eta_root,
+from oracles import (Fp2Field, build_field_context_fp2, dlog_two_power_bits, embedding_root,
                      trial_is_prime)
 
 
@@ -41,16 +41,15 @@ class TestIsPrime:
 
 
 def _zeta(ctx):
-    """The embedding (a + sqrt(q))^((r^2-1)/(2^(n+3)*f)), rebuilt in F_{r^2}."""
-    gf = Fp2Field(ctx.r, ctx.q)
-    return gf, gf.pow((ctx.a, 1), (ctx.r * ctx.r - 1) // ((1 << (ctx.n + 3)) * ctx.f))
+    """The embedding, of order 2^(n+3)*f, rebuilt in F_{r^2}."""
+    return embedding_root(ctx, (1 << (ctx.n + 3)) * ctx.f)
 
 
 class TestFieldContext:
     def test_paper_example_orders(self):
         # 949 = 13 * 73; zeta has exact order 2^4 * 949 = 15184
         ctx = build_field_context(22777, 1, 949)
-        gf, zeta = _zeta(ctx)
+        gf, zeta = Fp2Field(ctx.r, ctx.q), _zeta(ctx)
         N = 15184
         assert gf.pow(zeta, N) == (1, 0)
         for p in (2, 13, 73):
@@ -59,7 +58,7 @@ class TestFieldContext:
 
     def test_norm_of_candidate(self):
         ctx = build_field_context(22777, 1, 949)
-        gf, _ = _zeta(ctx)
+        gf = Fp2Field(ctx.r, ctx.q)
         assert (ctx.norm, 0) == gf.pow((ctx.a, 1), ctx.r + 1)
         assert ctx.norm == (ctx.a * ctx.a - ctx.q) % ctx.r
 
@@ -82,7 +81,7 @@ class TestFieldContext:
             n = rng.randrange(0, 3)
             r = find_split_primes(f, n, 2)[rng.randrange(2)]
             ctx = build_field_context(r, n, f)
-            gf, A = eta_root(ctx)
+            gf, A = Fp2Field(r, ctx.q), embedding_root(ctx, 1 << (n + 3))
             assert pow(ctx.zeta4, 2, r) == r - 1            # order 4
             assert gf.pow(A, 1 << (n + 2)) == (r - 1, 0)
             assert (ctx.w, 0) == gf.mul(A, A)
@@ -100,10 +99,10 @@ class TestFieldContext:
     def test_subcontext_roots_are_powers(self):
         ctx = build_field_context(45553, 2, 949)
         sub = subcontext(ctx, 1)
-        gf, zeta = _zeta(ctx)
-        assert _zeta(sub)[1] == gf.pow(zeta, 2)
+        gf, zeta = Fp2Field(ctx.r, ctx.q), _zeta(ctx)
+        assert _zeta(sub) == gf.pow(zeta, 2)
         assert sub.k == 2
-        assert gf.pow(eta_root(sub)[1], 1 << 4) == (1, 0)
+        assert gf.pow(embedding_root(sub, 1 << 4), 1 << 4) == (1, 0)
         assert sub.w == pow(ctx.w, 2, ctx.r)
         assert sub.zeta_f == pow(ctx.zeta_f, 2, ctx.r)
 
