@@ -15,7 +15,8 @@ for f in range(3, 120, 2):
 
 # the machinery behind one value: the reduced forms of discriminant 85
 # fall into two reduction cycles, so the narrow class number is 2; the
-# fundamental unit has norm -1 (odd continued-fraction period), so h = 2.
+# principal cycle (through a = 1) holds a form with a = -1, so the
+# fundamental unit has norm -1 and h = 2.
 forms = reduced_forms(85)
 print(f"\ndiscriminant 85: {len(forms)} reduced forms, "
       f"h_narrow = {class_number(85).h_narrow}, h = {class_number(85).h}")

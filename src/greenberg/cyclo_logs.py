@@ -55,7 +55,9 @@ class LogPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coeffs) == 1 << self.n
+        if len(self.coeffs) != 1 << self.n:
+            raise ValueError(f"log-polynomial needs {1 << self.n} coefficients, "
+                             f"got {len(self.coeffs)}")
 
     def to_T(self) -> tuple[int, ...]:
         """The coefficients in the basis T = X - 1."""
@@ -76,8 +78,8 @@ class PrimeLogRecord:
     delta_scalar: int | None
 
     def __post_init__(self):
-        assert self.beta.aug() == 0, \
-            "beta log-polynomial must lie in the augmentation ideal"
+        if self.beta.aug() != 0:
+            raise ValueError("beta log-polynomial must lie in the augmentation ideal")
 
 
 def find_split_primes(f: int, n: int, count: int, *, cap: int = PRIME_SWEEP_CAP) -> list[int]:
@@ -93,10 +95,6 @@ def find_split_primes(f: int, n: int, count: int, *, cap: int = PRIME_SWEEP_CAP)
             out.append(c)
         t += 1
     return out
-
-
-def _zeta_f_table(ctx: FieldContext) -> list[int]:
-    return power_table(ctx.zeta_f, ctx.f, ctx.r).tolist()
 
 
 def _conjugate_exponents(n: int) -> np.ndarray:
@@ -191,29 +189,26 @@ def log_scalar_delta(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int
         zeta_f^(a (s-1)/2) (1 - zeta_f^a) / (1 - zeta_f^(a s)),
 
     where s is the smallest non-kernel residue and (s-1)/2 is resolved by
-    the inverse of 2 mod f.
+    the inverse of 2 mod f.  As in :func:`log_poly_eta`, the factors form a
+    residue array folded by pairwise products, and the roots of unity in
+    front combine into the single power zeta_f^((s-1)/2 * sum a).
     """
     if ctx.f % 8 != 1:
         raise ValueError("delta exists only when f = 1 mod 8")
     assert kernel.sign_case == "chi_f"
     r, f = ctx.r, ctx.f
-    tab = _zeta_f_table(ctx)
+    ztab = power_table(ctx.zeta_f, f, r)
+    ker = np.asarray(kernel.residues, dtype=np.int64)
     if not f_prime:
-        num = 1
-        for a in kernel.residues:
-            num = num * (1 - tab[a]) % r
-        val = num % r
+        val = int(_row_product((1 - ztab[ker, None]) % r, r)[0])
     else:
         s = next(a for a in range(2, f) if a not in kernel)
-        inv2 = pow(2, -1, f)
-        half = (s - 1) * inv2 % f
-        num, den = 1, 1
-        for a in kernel.residues:
-            if a > (f - 1) // 2:
-                continue
-            num = num * tab[a * half % f] % r * (1 - tab[a]) % r
-            den = den * (1 - tab[a * s % f]) % r
-        val = num * pow(den, -1, r) % r
+        ker = ker[ker <= (f - 1) // 2]
+        half = (s - 1) * pow(2, -1, f) % f
+        # one row per residue: the numerator and denominator factors
+        num, den = _row_product((1 - ztab[np.stack([ker, ker * s % f], axis=1)]) % r,
+                                r).tolist()
+        val = pow(ctx.zeta_f, half * int(ker.sum()) % f, r) * num % r * pow(den, -1, r) % r
     assert val % r != 0, "delta product degenerated"
     return dlog_two_power(val, ctx)
 
@@ -291,7 +286,7 @@ def load_records(cache_dir: str | Path, f: int, n: int
             beta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in beta_s.split()))
             delta = None if delta_s == "-" else int(delta_s)
             records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")
     return records, warnings
 

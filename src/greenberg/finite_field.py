@@ -87,9 +87,10 @@ def factorize(m: int) -> dict[int, int]:
 class FieldContext:
     """One deterministic embedding of the order-2^(n+3)*f roots of unity.
 
-    All log-polynomial evaluations at the prime r share this context, so the
-    three functionals at r differ from any other valid choice by a single
-    invertible element of Z/2^k[G_n].
+    All log-polynomial evaluations at the prime r share this context.  The
+    records depend on the choice: they are pinned to the sweep's first
+    candidate, and only the level ideals built from them are independent of
+    the embedding.
 
     The embedding is zeta = y^((r^2-1)/(2^(n+3)*f)) for y = a + sqrt(q) in
     F_{r^2}, but every root the run uses is a power zeta^j with (r+1) | j, so

@@ -1,17 +1,20 @@
 """Arithmetic invariants of F = Q(sqrt(f)): characters, class number, gate.
 
-Everything here is exact integer arithmetic.  The class number comes from
-counting cycles of reduced indefinite binary quadratic forms under the
-reduction operator (the narrow class number) combined with the fundamental
-unit's norm, read off from the continued-fraction period parity.  The
-analytic class number formula is deliberately not used here; it serves as
-an independent oracle in the test suite.
+Everything here is exact integer arithmetic.  One walk of the cycles of
+reduced indefinite binary quadratic forms under the reduction operator
+gives both the narrow class number (the number of cycles) and the norm of
+the fundamental unit (-1 exactly when the principal cycle holds a form
+with leading coefficient -1), hence the class number.  The quadratic
+character is the Jacobi symbol (a|f).  The analytic class number formula
+is deliberately not used here; it serves as an independent oracle in the
+test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import cached_property
+from math import isqrt
 
 from greenberg.finite_field import factorize
 
@@ -36,22 +39,6 @@ def _jacobi(b: int, a: int) -> int:
     return t if a == 1 else 0
 
 
-def kronecker(D: int, a: int) -> int:
-    """Kronecker symbol (D|a) for a >= 0 (fully multiplicative in a)."""
-    if a == 0:
-        return 1 if D in (1, -1) else 0
-    v = 0
-    while a % 2 == 0:
-        a //= 2
-        v += 1
-    if v and D % 2 == 0:
-        return 0
-    t = 1
-    if v % 2 == 1 and D % 8 in (3, 5):
-        t = -1
-    return t * _jacobi(D, a)
-
-
 def is_squarefree(m: int) -> bool:
     return all(e == 1 for e in factorize(m).values())
 
@@ -73,50 +60,27 @@ class KernelSet:
     def __contains__(self, a: int) -> bool:
         return a % self.f in self._set
 
-    @property
+    @cached_property
     def _set(self) -> frozenset[int]:
-        s = self.__dict__.get("_cached_set")
-        if s is None:
-            s = frozenset(self.residues)
-            object.__setattr__(self, "_cached_set", s)
-        return s
+        return frozenset(self.residues)
 
 
 def character_kernel(f: int) -> KernelSet:
     """Kernel of the quadratic character cutting out the relevant subfield
-    of Q(zeta_f); it indexes the conjugates in every eta-product."""
+    of Q(zeta_f); it indexes the conjugates in every eta-product.
+
+    The character is the Kronecker symbol of the discriminant f or -f,
+    whichever is 1 mod 4; by reciprocity it equals the Jacobi symbol (a|f),
+    which is 0 on residues not prime to f.
+    """
     _require_valid_radicand(f)
-    if f % 4 == 1:
-        disc, case = f, "chi_f"
-    else:
-        disc, case = -f, "chi_minus_f"
-    residues = tuple(a for a in range(1, f)
-                     if gcd(a, f) == 1 and kronecker(disc, a) == 1)
+    case = "chi_f" if f % 4 == 1 else "chi_minus_f"
+    residues = tuple(a for a in range(1, f) if _jacobi(a, f) == 1)
     phi = 1
     for p, _ in factorize(f).items():
         phi *= p - 1
     assert len(residues) == phi // 2, "kernel must have index 2 in (Z/f)^x"
     return KernelSet(f=f, sign_case=case, residues=residues)
-
-
-def _cf_period(D: int) -> int:
-    """Period length of the continued fraction of (s + sqrt(D))/2, s = D mod 2.
-
-    This is the principal quadratic irrational of discriminant D; the parity
-    of its period gives the norm of the fundamental unit.
-    """
-    s = isqrt(D)
-    assert s * s != D, "discriminant must not be a square"
-    P, Q = D % 2, 2
-    seen: dict[tuple[int, int], int] = {}
-    idx = 0
-    while (P, Q) not in seen:
-        seen[(P, Q)] = idx
-        a = (P + s) // Q if Q > 0 else (-(P + s) - 1) // (-Q)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        idx += 1
-    return idx - seen[(P, Q)]
 
 
 def _divisors(m: int) -> list[int]:
@@ -151,22 +115,22 @@ def _rho(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
     return (c, r, (r * r - D) // (4 * c))
 
 
-def narrow_class_number(D: int) -> int:
-    """Number of cycles of reduced forms of discriminant D under reduction."""
-    all_forms = set(reduced_forms(D))
+def form_cycles(D: int) -> list[list[tuple[int, int, int]]]:
+    """The cycles of the reduced forms of discriminant D under reduction,
+    one per narrow class."""
+    remaining = set(reduced_forms(D))
     s = isqrt(D)
-    remaining = set(all_forms)
-    cycles = 0
+    cycles = []
     while remaining:
-        start = min(remaining)
-        g = start
-        while True:
-            remaining.discard(g)
+        cycle = [min(remaining)]
+        remaining.remove(cycle[0])
+        g = _rho(cycle[0], D, s)
+        while g != cycle[0]:
+            assert g in remaining, "reduction left the reduced-form set"
+            remaining.remove(g)
+            cycle.append(g)
             g = _rho(g, D, s)
-            assert g in all_forms, "reduction left the reduced-form set"
-            if g == start:
-                break
-        cycles += 1
+        cycles.append(cycle)
     return cycles
 
 
@@ -202,13 +166,17 @@ def _gate(f: int, h: int) -> str:
 def class_number(f: int) -> QuadFieldInfo:
     """Class number of Q(sqrt(f)) by form-cycle counting, with the gate.
 
-    h_narrow counts reduction cycles; the unit norm (continued-fraction
-    period parity) converts to the wide class number.
+    h_narrow counts reduction cycles.  The fundamental unit has norm -1
+    exactly when the principal form represents -1, that is, when the
+    principal cycle (the one through a = 1) holds a form with a = -1; the
+    unit norm converts to the wide class number.
     """
     _require_valid_radicand(f)
     D = f if f % 4 == 1 else 4 * f
-    h_narrow = narrow_class_number(D)
-    unit_norm = -1 if _cf_period(D) % 2 else 1
+    cycles = form_cycles(D)
+    h_narrow = len(cycles)
+    principal = next(c for c in cycles if any(a == 1 for a, _, _ in c))
+    unit_norm = -1 if any(a == -1 for a, _, _ in principal) else 1
     if unit_norm == -1:
         h = h_narrow
     else:

@@ -1,16 +1,19 @@
 """Independent oracles the tests check production code against.
 
 Each deliberately takes a different route than the implementation it
-audits: trial division vs Miller-Rabin, Euler's criterion vs the binary
-Kronecker algorithm, the analytic class number formula vs form-cycle
-counting, explicit fundamental units vs period parity, exhaustive module
+audits: trial division vs Miller-Rabin, Euler's criterion over the
+factorization of a vs the binary Jacobi algorithm with reciprocity, the
+analytic class number formula vs form-cycle counting, explicit fundamental
+units vs the principal form cycle, exhaustive module
 enumeration vs Howell reduction, the full-rank Howell engine vs the ideal
 engine that works modulo the lowest monic element, full-rank T-basis pair
 functionals vs the pairing modulo that element in the X-basis, the
 cyclotomic-norm square identity vs the eta product formula, the
 conjugate-by-conjugate F_{r^2} kernel product vs the F_r product vectorized
 over conjugates, the F_{r^2} candidate sweep vs the sweep over norms in F_r,
-and the bit-by-bit 2-power discrete log vs the sorted-table vector lookup.
+the scalar loops over the kernel vs the folded residue-vector delta
+product, and the bit-by-bit 2-power discrete log vs the sorted-table vector
+lookup.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def unit_norm_oracle(f: int) -> int:
     return n4 // 4
 
 
-def analytic_class_number(f: int, kronecker) -> int:
+def analytic_class_number(f: int) -> int:
     """Exact-character-sum evaluation of the class number of Q(sqrt(f)).
 
     h = -(sum over 0 < a < D/2 of chi(a) log sin(pi a / D)) / log eps.
@@ -139,7 +142,7 @@ def analytic_class_number(f: int, kronecker) -> int:
     log_eps = math.log(x) + math.log1p(math.exp(t)) - math.log(2)
     total = 0.0
     for a in range(1, (D + 1) // 2):
-        chi = kronecker(D, a)
+        chi = kronecker_oracle(D, a)
         if chi:
             total -= chi * math.log(math.sin(math.pi * a / D))
     h = total / log_eps
@@ -507,3 +510,25 @@ def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
         assert pb == 0 and pa != 0, "eta conjugate product left F_r"
         coeffs.append(dlog_two_power_bits(pa, ctx))
     return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs))
+
+
+def log_scalar_delta_loop(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int:
+    """The delta scalar of :func:`greenberg.cyclo_logs.log_scalar_delta`,
+    one kernel residue at a time with scalar products mod r."""
+    assert ctx.f % 8 == 1 and kernel.sign_case == "chi_f"
+    r, f = ctx.r, ctx.f
+    tab = [pow(ctx.zeta_f, j, r) for j in range(f)]
+    if not f_prime:
+        num = 1
+        for a in kernel.residues:
+            num = num * (1 - tab[a]) % r
+        return dlog_two_power_bits(num, ctx)
+    s = next(a for a in range(2, f) if a not in kernel)
+    half = (s - 1) * pow(2, -1, f) % f
+    num, den = 1, 1
+    for a in kernel.residues:
+        if a > (f - 1) // 2:
+            continue
+        num = num * tab[a * half % f] % r * (1 - tab[a]) % r
+        den = den * (1 - tab[a * s % f]) % r
+    return dlog_two_power_bits(num * pow(den, -1, r), ctx)

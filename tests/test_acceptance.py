@@ -16,8 +16,7 @@ from greenberg.cyclo_logs import compute_record, find_split_primes, get_records
 from greenberg.finite_field import build_field_context, subcontext
 from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec,
                                   mutual_membership, norm_element, parse_poly, scalar)
-from greenberg.quadratic import (GATE_TRIVIAL, character_kernel, class_number,
-                                 is_squarefree, kronecker)
+from greenberg.quadratic import GATE_TRIVIAL, character_kernel, class_number, is_squarefree
 from greenberg.verify import RunConfig, verify
 from oracles import (analytic_class_number, enumerate_span, eta_square_log,
                      unit_norm_oracle)
@@ -254,6 +253,6 @@ def test_criterion_6_quadratic_module():
             if not is_squarefree(f):
                 continue
             info = class_number(f)
-            assert info.h == analytic_class_number(f, kronecker), f
+            assert info.h == analytic_class_number(f), f
             assert info.unit_norm == unit_norm_oracle(f), f
             assert info.h_narrow == (info.h if info.unit_norm == -1 else 2 * info.h)

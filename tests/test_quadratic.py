@@ -1,39 +1,50 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenberg.quadratic import (GATE_RUN_NONSPLIT, GATE_RUN_SPLIT, GATE_TRIVIAL,
-                                 character_kernel, class_number, is_squarefree, kronecker,
+from greenberg.quadratic import (GATE_RUN_NONSPLIT, GATE_RUN_SPLIT, GATE_TRIVIAL, _jacobi,
+                                 character_kernel, class_number, is_squarefree,
                                  reduced_forms)
 from oracles import analytic_class_number, kronecker_oracle, legendre, unit_norm_oracle
 
+odd = st.integers(0, 100).map(lambda x: 2 * x + 1)
+
 
 class TestKronecker:
+    """The Jacobi symbol (D|a) on odd moduli a is the Kronecker symbol
+    there; the character kernel relies on it through reciprocity."""
+
     def test_examples(self):
-        assert kronecker(-3, 2) == -1          # 2 inert in Q(sqrt(-3))
-        assert kronecker(5, 4) == 1            # 4 is a square mod 5
-        assert kronecker(949, 7) == kronecker_oracle(949, 7)
+        assert _jacobi(2, 3) == -1             # 2 is not a square mod 3
+        assert _jacobi(4, 5) == 1
+        assert _jacobi(949, 7) == kronecker_oracle(949, 7)
+        assert _jacobi(6, 15) == 0             # not prime to the modulus
 
     def test_against_oracle(self):
         for D in (-15, -8, -4, -3, 5, 8, 12, 13, 949, -949, 6817):
-            for a in range(0, 60):
-                assert kronecker(D, a) == kronecker_oracle(D, a), (D, a)
+            for a in range(1, 60, 2):
+                assert _jacobi(D, a) == kronecker_oracle(D, a), (D, a)
 
-    @given(st.integers(-300, 300), st.integers(1, 200), st.integers(1, 200))
+    @given(st.integers(-300, 300), odd, odd)
     @settings(max_examples=300, deadline=None)
     def test_multiplicative(self, D, a, b):
-        assert kronecker(D, a * b) == kronecker(D, a) * kronecker(D, b)
+        assert _jacobi(D, a * b) == _jacobi(D, a) * _jacobi(D, b)
 
     @given(st.integers(-80, 80), st.integers(1, 100))
     @settings(max_examples=300, deadline=None)
     def test_periodic_for_discriminants(self, D, a):
-        if D % 4 in (0, 1) and D != 0:
-            assert kronecker(D, a) == kronecker(D, a + abs(D))
+        # for D = 1 mod 4 the character a -> (D|a) has period |D| and is
+        # (a||D|) by reciprocity, even a included
+        if D % 4 == 1:
+            assert _jacobi(a, abs(D)) == kronecker_oracle(D, a) \
+                == kronecker_oracle(D, a + abs(D))
 
     def test_euler_criterion(self):
         for p in (3, 5, 7, 11, 13, 22777):
             for D in (5, 949, -949, 6817):
-                assert kronecker(D, p) == legendre(D, p)
+                assert _jacobi(D, p) == legendre(D, p)
 
 
 class TestCharacterKernel:
@@ -70,14 +81,31 @@ class TestCharacterKernel:
             assert ker == squares
 
     def test_complement_has_chi_minus_one(self):
-        from math import gcd
         for f in (21, 35, 57):
             ker = character_kernel(f)
             disc = f if ker.sign_case == "chi_f" else -f
             for a in range(1, f):
                 if a in ker or gcd(a, f) != 1:
                     continue
-                assert kronecker(disc, a) == -1
+                assert kronecker_oracle(disc, a) == -1
+
+    def test_against_oracle_below_2000(self):
+        # the kernel of kronecker_oracle(+-f, .), for every odd squarefree f
+        for f in range(3, 2000, 2):
+            if not is_squarefree(f):
+                continue
+            disc = f if f % 4 == 1 else -f
+            want = tuple(a for a in range(1, f) if kronecker_oracle(disc, a) == 1)
+            assert character_kernel(f).residues == want, f
+
+    def test_set_cache_keeps_equality_and_pickling(self):
+        import pickle
+        ker = character_kernel(21)
+        assert 4 in ker and 2 not in ker            # fills the cached set
+        twin = character_kernel(21)
+        assert ker == twin and hash(ker) == hash(twin)
+        back = pickle.loads(pickle.dumps(ker))
+        assert back == ker and 4 in back and 2 not in back
 
     def test_invalid_f_rejected(self):
         for f in (4, 9, 2, 1, 12):
@@ -116,7 +144,13 @@ class TestClassNumber:
         # full f < 500 sweep runs in the acceptance suite
         for f in range(3, 120, 2):
             if is_squarefree(f):
-                assert class_number(f).h == analytic_class_number(f, kronecker), f
+                assert class_number(f).h == analytic_class_number(f), f
+
+    @pytest.mark.slow
+    def test_unit_norm_below_10000(self):
+        for f in range(3, 10000, 2):
+            if is_squarefree(f):
+                assert class_number(f).unit_norm == unit_norm_oracle(f), f
 
     def test_m0_convention(self):
         # f = 3 mod 4 with even h: the index is half the class number
