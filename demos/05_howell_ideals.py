@@ -12,11 +12,10 @@
 
 import numpy as np
 
-from greenberg.group_ring import (HowellIdeal, canonical_generators, full_spec,
-                                  mutual_membership, norm_element, poly_str,
-                                  weierstrass_polynomial)
+from greenberg.group_ring import (HowellIdeal, RingSpec, canonical_generators, norm_element,
+                                  poly_str, weierstrass_polynomial)
 
-spec = full_spec(2, d=3)   # Z/8[T] / ((T+1)^4 - 1)
+spec = RingSpec(3, 2, divided=False)   # Z/8[T] / ((T+1)^4 - 1)
 print(f"ring: Z/{spec.modulus}[T] / ((T+1)^{spec.rank} - 1)\n")
 
 # Weierstrass: 2 + 4T + T^2 + 3T^3 has its lowest odd coefficient at T^2,
@@ -25,7 +24,8 @@ r = np.array([2, 4, 1, 3])
 print(f"{poly_str(r)} generates the ideal of the monic "
       f"{poly_str(weierstrass_polynomial(r, spec.d))}\n")
 
-ideal = HowellIdeal.from_generators(spec, [(2,), (0, 0, 1)])   # (2, T^2)
+gens = [(2,), (0, 0, 1)]
+ideal = HowellIdeal.from_generators(spec, gens)   # (2, T^2)
 print("ideal (2, T^2):")
 print("  lowest monic element M =", poly_str(ideal.ring.relation))
 print(f"  Howell rows of J/(M) in rank {ideal.ring.rank} (ascending by pivot degree):")
@@ -39,10 +39,12 @@ print("  log2 of the index:", ideal.log2_index())
 print("\nnorm element of level 2 member:", ideal.contains(norm_element(2, spec)))
 print("norm element of level 1 member:", ideal.contains(norm_element(1, spec)))
 
-# different generators, same ideal, identical canonical pair (M, rows)
-other = HowellIdeal.from_generators(spec, [(2, 2), (2,), (0, 2, 1)])
-print("\n(2+2T, 2, 2T+T^2) equals (2, T^2):", mutual_membership(ideal, other),
-      "| identical M and rows:", ideal == other)
+# different generators, same ideal (each holds the other's generators),
+# identical canonical pair (M, rows)
+other_gens = [(2, 2), (2,), (0, 2, 1)]
+other = HowellIdeal.from_generators(spec, other_gens)
+same = all(other.contains(g) for g in gens) and all(ideal.contains(g) for g in other_gens)
+print("\n(2+2T, 2, 2T+T^2) equals (2, T^2):", same, "| identical M and rows:", ideal == other)
 
 # canonical minimal generators: the strict descents of pivot valuation,
 # closed by M, which is how tables of such ideals are conventionally printed

@@ -1,10 +1,10 @@
 """Command-line front end: single verifications, table sweeps, cache admin.
 
 Exit codes: 0 for terminated/trivial outcomes, 2 when a run is unresolved
-at the level cap, 1 for usage errors and for a table sweep whose worker
-raised (the failing radicand is named on stderr).  The csv and json
-formats are byte-identical across runs with the same configuration;
-timings appear only in the human-readable markdown output.
+at the level cap, 1 for usage errors and for a table sweep in which a
+verification raised (the failing radicand is named on stderr).  The csv
+and json formats are byte-identical across runs with the same
+configuration; timings appear only in the human-readable markdown output.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from greenberg.cyclo_logs import compute_record, load_records
@@ -25,7 +27,7 @@ from greenberg.verify import RunConfig, VerificationReport, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_ERROR = 1      # a verification raised in a --jobs worker
+EXIT_ERROR = 1      # a verification raised in a table sweep
 EXIT_UNRESOLVED = 2
 
 
@@ -47,7 +49,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", type=Path, default=None,
                    help="log-record cache directory (env GREENBERG_CACHE)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel verifications for range sweeps")
+                   help="parallel verifications for range sweeps, at least 1 (default 1)")
     p.set_defaults(parser=p)
 
 
@@ -74,7 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    """The run settings; settings RunConfig rejects are usage errors."""
+    """The run settings; settings RunConfig rejects, and --jobs below 1,
+    are usage errors."""
+    if args.jobs < 1:
+        args.parser.error(f"jobs={args.jobs}: a run needs at least one worker")
     try:
         return RunConfig(primes=args.primes, max_level=args.max_level,
                          adaptive=args.adaptive, cache_dir=args.cache_dir)
@@ -287,19 +292,21 @@ def cmd_table(args) -> int:
               f"Q(sqrt(2f)) shares the tower of Q(sqrt(f))): "
               f"{', '.join(str(s) for s in skipped[:20])}"
               f"{' ...' if len(skipped) > 20 else ''}", file=sys.stderr)
-    if args.jobs > 1 and len(fs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            jobs = [(f, pool.submit(verify, f, cfg)) for f in fs]
-            reps = []
-            for f, job in jobs:
-                try:
-                    reps.append(job.result())
-                except Exception as exc:
+    # a forking pool starts all of its workers at the first submit, so it
+    # gets no more of them than there are radicands
+    workers = min(args.jobs, len(fs))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        calls = [(f, pool.submit(verify, f, cfg).result if pool else partial(verify, f, cfg))
+                 for f in fs]
+        reps = []
+        for f, call in calls:
+            try:
+                reps.append(call())
+            except Exception as exc:
+                if pool is not None:
                     pool.shutdown(cancel_futures=True)
-                    print(f"error: f={f}: {exc}", file=sys.stderr)
-                    return EXIT_ERROR
-    else:
-        reps = [verify(f, cfg) for f in fs]
+                print(f"error: f={f}: {exc}", file=sys.stderr)
+                return EXIT_ERROR
     reps.sort(key=lambda r: r.f)
     if args.format == "md":
         sys.stdout.write(table_markdown(reps))

@@ -213,10 +213,9 @@ def log_scalar_delta(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int
     return dlog_two_power(val, ctx)
 
 
-def compute_record(f: int, n: int, r: int, kernel: KernelSet, *,
-                   k: int | None = None) -> PrimeLogRecord:
+def compute_record(f: int, n: int, r: int, kernel: KernelSet) -> PrimeLogRecord:
     """All log data for one auxiliary prime, under one shared embedding."""
-    ctx = build_field_context(r, n, f, k=k)
+    ctx = build_field_context(r, n, f)
     eta = log_poly_eta(ctx, kernel)
     beta = log_poly_beta(ctx)
     delta = None
@@ -262,7 +261,8 @@ def load_records(cache_dir: str | Path, f: int, n: int
 
     Lines are split at "\n" only, the separator :func:`store_records`
     writes, and undecodable bytes become U+FFFD, so each corrupt line is
-    skipped with exactly one warning.
+    skipped with exactly one warning.  So is a line whose delta is present
+    although f != 1 mod 8, or absent although f = 1 mod 8.
     """
     path = cache_path(cache_dir, f, n)
     records: dict[int, PrimeLogRecord] = {}
@@ -284,7 +284,9 @@ def load_records(cache_dir: str | Path, f: int, n: int
                 raise ValueError("key mismatch")
             eta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in eta_s.split()))
             beta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in beta_s.split()))
-            delta = None if delta_s == "-" else int(delta_s)
+            if (delta_s == "-") != (f % 8 != 1):
+                raise ValueError("delta present exactly when f = 1 mod 8")
+            delta = None if delta_s == "-" else int(delta_s) % (1 << k)
             records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
         except ValueError as exc:
             warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")

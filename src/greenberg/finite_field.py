@@ -105,7 +105,7 @@ class FieldContext:
     r: int
     n: int
     f: int
-    k: int
+    k: int                    # log precision, n + 1
     q: int                    # smallest quadratic nonresidue mod r
     a: int                    # the embedding's candidate y = a + sqrt(q)
     norm: int                 # N = a^2 - q, a quadratic nonresidue
@@ -115,22 +115,15 @@ class FieldContext:
     zeta_2k: int              # order 2^k
 
 
-def build_field_context(r: int, n: int, f: int, *, k: int | None = None,
-                        candidate_offset: int = 0) -> FieldContext:
+def build_field_context(r: int, n: int, f: int) -> FieldContext:
     """Construct the shared embedding for the prime r at level n.
 
     Candidates y = a + sqrt(q) are swept over a = 0, 1, 2, ...; y gives a
     root of exact order 2^(n+3)*f when its norm N = a^2 - q passes
     N^((r-1)/p) != 1 for p = 2 and every prime p | f.  The first passing
-    candidate wins, so contexts are reproducible.  ``candidate_offset``
-    skips that many passing candidates (used by the unit-invariance checks
-    to build an alternative embedding).  ``k`` is the log precision, at
-    most n+1 (the default).
+    candidate wins, so contexts are reproducible.  The log precision is
+    k = n + 1.
     """
-    if k is None:
-        k = n + 1
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"log precision k={k} must be in [1, n+1]")
     modulus = (1 << (n + 2)) * f
     if r % modulus != 1:
         raise ValueError(f"r={r} is not 1 mod 2^(n+2)*f = {modulus}")
@@ -139,44 +132,18 @@ def build_field_context(r: int, n: int, f: int, *, k: int | None = None,
 
     q = smallest_nonresidue(r)
     divisors = [2] + sorted(factorize(f))
-    skip = candidate_offset
     for a in range(r):
         norm = (a * a - q) % r
         if all(pow(norm, (r - 1) // p, r) != 1 for p in divisors):
-            if skip == 0:
-                break
-            skip -= 1
+            break
     else:
         raise ValueError(f"no generator of order {(1 << (n + 3)) * f} found for r={r}")
+    k = n + 1
     return FieldContext(r=r, n=n, f=f, k=k, q=q, a=a, norm=norm,
                         zeta4=pow(norm, (r - 1) // 4, r),
                         w=pow(norm, (r - 1) >> (n + 2), r),
                         zeta_f=pow(norm, (r - 1) // f, r),
                         zeta_2k=pow(norm, (r - 1) >> k, r))
-
-
-def subcontext(ctx: FieldContext, m: int, *, k: int | None = None) -> FieldContext:
-    """Level-m context whose embedding is the 2^(n-m)-th power of ctx's.
-
-    Used by the norm-compatibility checks, which need the two levels to share
-    one embedding and one log precision.  w and the order-f root are the
-    literal 2^(n-m)-th powers of the parent's, the parts of zeta^(2^(n-m))
-    (deliberately not N^((r-1)/f): the level-m units must come from that
-    root for their logs to be partial sums of the level-n ones); the order-4
-    and order-2^k roots are the norm's own, which keeps the discrete-log
-    scale identical.
-    """
-    if m > ctx.n:
-        raise ValueError("subcontext level must not exceed the parent level")
-    if k is None:
-        k = m + 1
-    if k > m + 1:
-        raise ValueError("log precision exceeds the subcontext level bound")
-    r, shift = ctx.r, 1 << (ctx.n - m)
-    return FieldContext(r=r, n=m, f=ctx.f, k=k, q=ctx.q, a=ctx.a, norm=ctx.norm,
-                        zeta4=ctx.zeta4, w=pow(ctx.w, shift, r),
-                        zeta_f=pow(ctx.zeta_f, shift, r),
-                        zeta_2k=pow(ctx.norm, (r - 1) >> k, r))
 
 
 # ---------------------------------------------------------------------------

@@ -106,18 +106,15 @@ class RingSpec:
                 and (self.d, self.n, self.divided) == (other.d, other.n, other.divided)
                 and np.array_equal(self.relation, other.relation))
 
-    def __hash__(self):
-        return hash((self.d, self.n, self.divided, self.relation.tobytes()))
+
+@lru_cache(maxsize=64)
+def full_spec(n: int) -> RingSpec:
+    return RingSpec(n + 1, n, divided=False)
 
 
 @lru_cache(maxsize=64)
-def full_spec(n: int, d: int | None = None) -> RingSpec:
-    return RingSpec(n + 1 if d is None else d, n, divided=False)
-
-
-@lru_cache(maxsize=64)
-def divided_spec(n: int, d: int | None = None) -> RingSpec:
-    return RingSpec(n + 1 if d is None else d, n, divided=True)
+def divided_spec(n: int) -> RingSpec:
+    return RingSpec(n + 1, n, divided=True)
 
 
 def zero(spec: RingSpec) -> Vec:
@@ -204,6 +201,11 @@ def to_T_basis(xcoeffs, mod: int) -> np.ndarray:
         res[1:] = (res[1:] + res[:-1]) % mod
         res[0] = (res[0] + a[i]) % mod
     return res
+
+
+def from_X_coeffs(xcoeffs, spec: RingSpec) -> Vec:
+    """Ring element from ascending X-coefficients (X = T + 1) of any degree."""
+    return reduce_poly(to_T_basis(xcoeffs, spec.modulus), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +404,6 @@ class HowellIdeal:
     def contains(self, v: Vec) -> bool:
         return not self.reduce_vec(v).any()
 
-    def contains_ideal(self, other: "HowellIdeal") -> bool:
-        return (self.contains(other.ring.relation)
-                and all(self.contains(row) for row in other.rows))
-
     def insert(self, g: Vec) -> "HowellIdeal":
         """Ideal generated by self and g (all T-shifts of g are adjoined)."""
         r = self.reduce_vec(g)
@@ -453,17 +451,9 @@ class HowellIdeal:
                 and self.rows.shape == other.rows.shape
                 and bool(np.array_equal(self.rows, other.rows)))
 
-    def __hash__(self):
-        return hash((self.spec, self.ring, self.rows.tobytes()))
-
     def __repr__(self):
         return (f"HowellIdeal({self.spec}, monic degree {self.ring.rank}, "
                 f"log2_index={self.log2_index()})")
-
-
-def mutual_membership(a: HowellIdeal, b: HowellIdeal) -> bool:
-    """Ideal equality by double containment (generator sets are not unique)."""
-    return a.contains_ideal(b) and b.contains_ideal(a)
 
 
 @dataclass(frozen=True)
@@ -531,24 +521,3 @@ def poly_str(coeffs) -> str:
             var = "T" if j == 1 else f"T^{j}"
             terms.append(var if c == 1 else f"{c}{var}")
     return " + ".join(terms) if terms else "0"
-
-
-def parse_poly(text: str) -> tuple[int, ...]:
-    """Inverse of :func:`poly_str` for test fixtures and CSV round-trips."""
-    text = text.strip()
-    if text in ("0", ""):
-        return (0,)
-    coeffs: dict[int, int] = {}
-    for term in text.replace("-", "+ -").split("+"):
-        term = term.strip().replace(" ", "")
-        if not term:
-            continue
-        if "T" in term:
-            head, _, exp = term.partition("T")
-            c = int(head) if head not in ("", "-") else (-1 if head == "-" else 1)
-            j = int(exp.lstrip("^")) if exp else 1
-        else:
-            c, j = int(term), 0
-        coeffs[j] = coeffs.get(j, 0) + c
-    top = max(coeffs)
-    return tuple(coeffs.get(j, 0) for j in range(top + 1))

@@ -144,7 +144,6 @@ class QuadFieldInfo:
     """
 
     f: int
-    D: int
     h: int
     h_narrow: int
     unit_norm: int
@@ -187,5 +186,5 @@ def class_number(f: int) -> QuadFieldInfo:
         m0 = v2
     else:
         m0 = v2 - 1 if h % 2 == 0 else 0
-    return QuadFieldInfo(f=f, D=D, h=h, h_narrow=h_narrow, unit_norm=unit_norm,
+    return QuadFieldInfo(f=f, h=h, h_narrow=h_narrow, unit_norm=unit_norm,
                          m0=m0, gate=_gate(f, h))

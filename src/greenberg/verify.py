@@ -26,9 +26,8 @@ import numpy as np
 from greenberg.cyclo_logs import (PrimeLogRecord, default_cache_dir, find_split_primes,
                                   get_records, iter_records)
 from greenberg.group_ring import (MAX_LEVEL, HowellIdeal, ReportedIdeal, RingSpec, Vec,
-                                  canonical_generators, divided_spec, from_coeffs, full_spec,
-                                  norm_element, poly_mul_mod, power_table, reduce_poly, scalar,
-                                  to_T_basis)
+                                  canonical_generators, divided_spec, from_coeffs, from_X_coeffs,
+                                  full_spec, norm_element, poly_mul_mod, power_table, scalar)
 from greenberg.quadratic import (GATE_TRIVIAL, KernelSet, QuadFieldInfo, character_kernel,
                                  class_number)
 
@@ -188,8 +187,8 @@ class PairAccumulator:
     def _pair(self, e: Vec, q: Vec, ring: RingSpec) -> list[Vec]:
         mod = ring.modulus
         if ring.rank == self.spec.rank:
-            return [reduce_poly(to_T_basis((_cyclic_mul(q, e_old, mod)
-                                            - _cyclic_mul(q_old, e, mod)) % mod, mod), ring)
+            return [from_X_coeffs((_cyclic_mul(q, e_old, mod)
+                                   - _cyclic_mul(q_old, e, mod)) % mod, ring)
                     for e_old, q_old in self.functionals]
         if ring is not self._ring:
             self._ring = ring

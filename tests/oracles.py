@@ -14,6 +14,10 @@ over conjugates, the F_{r^2} candidate sweep vs the sweep over norms in F_r,
 the scalar loops over the kernel vs the folded residue-vector delta
 product, and the bit-by-bit 2-power discrete log vs the sorted-table vector
 lookup.
+
+It also holds what only the tests need: ideal equality by double
+containment, the parser of printed polynomials, the context of another
+candidate of the sweep, and the level-m context sharing a level-n embedding.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from greenberg.cyclo_logs import LogPoly
 from greenberg.finite_field import FieldContext, factorize, is_prime, smallest_nonresidue
-from greenberg.group_ring import (RingSpec, Vec, from_coeffs, full_spec, howell_form,
+from greenberg.group_ring import (HowellIdeal, RingSpec, Vec, from_coeffs, howell_form,
                                   norm_element, poly_mul_mod, t_shift, to_T_basis)
 from greenberg.quadratic import KernelSet
 
@@ -165,6 +169,38 @@ def enumerate_span(rows: list[tuple[int, ...]], d: int, rank: int) -> frozenset:
     return frozenset(span)
 
 
+def contains_ideal(a: HowellIdeal, b: HowellIdeal) -> bool:
+    """b inside a: a contains b's monic element M and its Howell rows."""
+    return a.contains(b.ring.relation) and all(a.contains(row) for row in b.rows)
+
+
+def mutual_membership(a: HowellIdeal, b: HowellIdeal) -> bool:
+    """Ideal equality by double containment (generator sets are not unique)."""
+    return contains_ideal(a, b) and contains_ideal(b, a)
+
+
+def parse_poly(text: str) -> tuple[int, ...]:
+    """Inverse of :func:`greenberg.group_ring.poly_str`, for fixtures written
+    as published (e.g. "T^2 + 2012")."""
+    text = text.strip()
+    if text in ("0", ""):
+        return (0,)
+    coeffs: dict[int, int] = {}
+    for term in text.replace("-", "+ -").split("+"):
+        term = term.strip().replace(" ", "")
+        if not term:
+            continue
+        if "T" in term:
+            head, _, exp = term.partition("T")
+            c = int(head) if head not in ("", "-") else (-1 if head == "-" else 1)
+            j = int(exp.lstrip("^")) if exp else 1
+        else:
+            c, j = int(term), 0
+        coeffs[j] = coeffs.get(j, 0) + c
+    top = max(coeffs)
+    return tuple(coeffs.get(j, 0) for j in range(top + 1))
+
+
 class FullRankIdeal:
     """An ideal of Z/2^d[T]/(p) as the Howell form of its full T-shift
     closure in rank 2^n: every insertion runs Howell on the old rows plus
@@ -279,7 +315,7 @@ def full_rank_pair_functionals(records, spec: RingSpec) -> list[Vec]:
     Each new functional pairs with every earlier one as
     g = q_new e_old - q_old e_new, divided by T into ``spec`` when split.
     """
-    full = full_spec(spec.n, spec.d)
+    full = RingSpec(spec.d, spec.n, divided=False)
     mod = full.modulus
     seen, funcs, out = [], [], []
     for rec in records:
@@ -395,6 +431,40 @@ def build_field_context_fp2(r: int, n: int, f: int, *, k: int | None = None,
     assert gf.in_base(zeta4) and gf.in_base(zeta_f) and gf.in_base(zeta_2k)
     return Fp2Context(a=a, zeta4=zeta4[0], zeta_2n3=gf.pow(zeta, f),
                       zeta_f=zeta_f[0], zeta_2k=zeta_2k[0])
+
+
+def field_context_fp2(r: int, n: int, f: int, *, candidate_offset: int = 0) -> FieldContext:
+    """The context of the F_{r^2} sweep's candidate (after ``candidate_offset``
+    skips), its roots the F_{r^2} powers of that candidate's zeta.  At offset
+    0 it is the production context; at offset 1 it is the alternative
+    embedding of the unit-invariance check."""
+    ref = build_field_context_fp2(r, n, f, candidate_offset=candidate_offset)
+    q = smallest_nonresidue(r)
+    w, w_sqrt_q = Fp2Field(r, q).pow(ref.zeta_2n3, 2)
+    assert w_sqrt_q == 0
+    return FieldContext(r=r, n=n, f=f, k=n + 1, q=q, a=ref.a, norm=(ref.a * ref.a - q) % r,
+                        zeta4=ref.zeta4, w=w, zeta_f=ref.zeta_f, zeta_2k=ref.zeta_2k)
+
+
+def subcontext(ctx: FieldContext, m: int) -> FieldContext:
+    """Level-m context whose embedding is the 2^(n-m)-th power of ctx's, at
+    log precision m + 1.
+
+    Used by the norm-compatibility checks, which need the two levels to share
+    one embedding.  w and the order-f root are the literal 2^(n-m)-th powers
+    of the parent's, the parts of zeta^(2^(n-m)) (deliberately not
+    N^((r-1)/f): the level-m units must come from that root for their logs
+    to be partial sums of the level-n ones); the order-4 and order-2^(m+1)
+    roots are the norm's own, which keeps the discrete-log scale identical:
+    a level-m log is the parent's mod 2^(m+1).
+    """
+    if m > ctx.n:
+        raise ValueError("subcontext level must not exceed the parent level")
+    r, shift = ctx.r, 1 << (ctx.n - m)
+    return FieldContext(r=r, n=m, f=ctx.f, k=m + 1, q=ctx.q, a=ctx.a, norm=ctx.norm,
+                        zeta4=ctx.zeta4, w=pow(ctx.w, shift, r),
+                        zeta_f=pow(ctx.zeta_f, shift, r),
+                        zeta_2k=pow(ctx.norm, (r - 1) >> (m + 1), r))
 
 
 def embedding_root(ctx: FieldContext, order: int) -> Fp2:

@@ -13,13 +13,12 @@ import pytest
 
 from greenberg import cyclo_logs
 from greenberg.cyclo_logs import compute_record, find_split_primes, get_records
-from greenberg.finite_field import build_field_context, subcontext
-from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec,
-                                  mutual_membership, norm_element, parse_poly, scalar)
+from greenberg.finite_field import build_field_context
+from greenberg.group_ring import HowellIdeal, RingSpec, from_coeffs, norm_element, scalar
 from greenberg.quadratic import GATE_TRIVIAL, character_kernel, class_number, is_squarefree
 from greenberg.verify import RunConfig, verify
-from oracles import (analytic_class_number, enumerate_span, eta_square_log,
-                     unit_norm_oracle)
+from oracles import (analytic_class_number, enumerate_span, eta_square_log, field_context_fp2,
+                     mutual_membership, parse_poly, subcontext, unit_norm_oracle)
 
 
 @contextmanager
@@ -171,9 +170,9 @@ def test_criterion_5iii_norm_compatibility(rng, runnable_radicands):
             n = rng.randrange(1, 4)
             m = rng.randrange(0, n)
             r = rng.choice(find_split_primes(f, n, 2))
-            k = m + 1
-            ctx_n = build_field_context(r, n, f, k=k)
-            ctx_m = subcontext(ctx_n, m, k=k)
+            k = m + 1      # the level-m precision; level-n logs are read mod 2^k
+            ctx_n = build_field_context(r, n, f)
+            ctx_m = subcontext(ctx_n, m)
             ker = character_kernel(f)
             top = log_poly_eta(ctx_n, ker).coeffs
             low = log_poly_eta(ctx_m, ker).coeffs
@@ -211,8 +210,9 @@ def test_criterion_5v_unit_invariance(monkeypatch):
         ker = character_kernel(949)
         primes = find_split_primes(949, 3, 15)
         before = get_records(949, 3, primes, ker)
+        # the sweep's second passing candidate, found in F_{r^2}
         monkeypatch.setattr(cyclo_logs, "build_field_context",
-                            partial(build_field_context, candidate_offset=1))
+                            partial(field_context_fp2, candidate_offset=1))
         # the alternative embedding changes the records themselves, so the
         # ideal comparison below is not vacuous
         assert get_records(949, 3, primes, ker) != before
@@ -228,7 +228,7 @@ def test_criterion_5vi_howell_vs_enumeration(rng):
     with criterion("5vi", "Howell engine matches exhaustive enumeration, 1000 trials"):
         from greenberg.group_ring import t_shift
         for trial in range(1000):
-            spec = full_spec(rng.choice((1, 2)), d=2)
+            spec = RingSpec(2, rng.choice((1, 2)), divided=False)
             gens = [tuple(rng.randrange(4) for _ in range(spec.rank))
                     for _ in range(rng.randrange(1, 4))]
             ideal = HowellIdeal.from_generators(spec, gens)

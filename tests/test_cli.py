@@ -2,10 +2,11 @@ import csv
 import importlib
 import io
 import json
+from concurrent.futures import Future
 
+from greenberg import cli
 from greenberg.cli import main
-from greenberg.group_ring import (HowellIdeal, RingSpec, canonical_generators,
-                                  divided_spec, full_spec, poly_str)
+from greenberg.group_ring import HowellIdeal, RingSpec, canonical_generators, poly_str
 
 
 def _run(capsys, *argv):
@@ -94,8 +95,8 @@ class TestFormats:
             assert code == 0
             for level in json.loads(out)["levels"]:
                 block = level["howell"]
-                spec = (divided_spec if block["spec"]["divided"] else full_spec)(
-                    block["spec"]["n"], d=block["spec"]["d"])
+                spec = RingSpec(block["spec"]["d"], block["spec"]["n"],
+                                block["spec"]["divided"])
                 rank = len(block["relation"]) - 1
                 assert block["relation"][-1] == 1
                 assert all(len(row) == rank for row in block["rows"])
@@ -172,6 +173,64 @@ class TestTableCommand:
                             "--format", "csv", "--jobs", "2")
         assert code == 1
         assert "error: f=87: injected failure" in err
+
+
+    def test_serial_error_names_radicand(self, capsys, monkeypatch):
+        # without --jobs a failing verification is reported like a worker's
+        verify_module = importlib.import_module("greenberg.verify")
+        real = verify_module.run_level
+
+        def failing(f, *args, **kwargs):
+            if f == 87:
+                raise RuntimeError("injected failure")
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "run_level", failing)
+        code, out, err = _run(capsys, "table", "--min", "85", "--max", "89", "--format", "csv")
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: f=87: injected failure"
+
+    def test_jobs_below_one_usage_error(self, capsys):
+        for bad in ("0", "-2"):
+            code, out, err = _run(capsys, "table", "--min", "3", "--max", "9", "--jobs", bad)
+            assert code == 1 and out == "", bad
+            assert "usage:" in err and f"jobs={bad}: a run needs at least one worker" in err
+
+    def test_pool_capped_at_radicand_count(self, capsys, monkeypatch):
+        # a forking pool starts all of its workers at the first submit; this
+        # executor records the size asked for and runs each call in-process
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        argv = ("table", "--min", "3", "--max", "9", "--format", "csv")
+        code, serial, _ = _run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        code, pooled, _ = _run(capsys, *argv, "--jobs", "5000")
+        assert code == 0 and pooled == serial
+        assert sizes == [3]                  # 3, 5 and 7; 4, 6, 8 and 9 are skipped
+        code, _, _ = _run(capsys, "table", "--min", "3", "--max", "4", "--jobs", "5000")
+        assert code == 0 and sizes == [3]    # one radicand: no pool at all
 
 
 class TestCacheCommand:

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -11,16 +12,20 @@ from hypothesis import strategies as st
 
 import greenberg
 from greenberg import finite_field
+from greenberg.cli import reports_json
 from greenberg.cyclo_logs import (CACHE_VERSION, LogPoly, PrimeLogRecord, cache_path,
-                                  compute_record, find_split_primes, load_records,
-                                  log_poly_beta, log_poly_eta, log_scalar_delta,
+                                  compute_record, find_split_primes, get_records,
+                                  load_records, log_poly_beta, log_poly_eta, log_scalar_delta,
                                   store_records)
-from greenberg.finite_field import (build_field_context, dlog_two_power, is_prime,
-                                    mulmod_vec, subcontext)
-from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec, mutual_membership,
+from greenberg.finite_field import build_field_context, dlog_two_power, is_prime, mulmod_vec
+from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec,
                                   poly_mul_mod)
 from greenberg.quadratic import character_kernel
-from oracles import eta_square_log, log_poly_eta_fp2, log_scalar_delta_loop, to_X_basis
+from greenberg.verify import RunConfig, verify
+from oracles import (eta_square_log, log_poly_eta_fp2, log_scalar_delta_loop,
+                     mutual_membership, subcontext, to_X_basis)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestFindSplitPrimes:
@@ -217,7 +222,8 @@ class TestEta:
 
     def test_norm_compatibility_collapse(self, rng, runnable_radicands):
         # level-m coefficients are partial sums of level-n coefficients when
-        # the contexts share one embedding and one log precision
+        # the contexts share one embedding; the level-n logs, taken at
+        # precision n + 1, are read mod 2^(m+1), the level-m precision
         checked = 0
         while checked < 12:
             f = rng.choice(runnable_radicands)
@@ -225,8 +231,8 @@ class TestEta:
             m = rng.randrange(0, n)
             r = rng.choice(find_split_primes(f, n, 2))
             k = m + 1
-            ctx_n = build_field_context(r, n, f, k=k)
-            ctx_m = subcontext(ctx_n, m, k=k)
+            ctx_n = build_field_context(r, n, f)
+            ctx_m = subcontext(ctx_n, m)
             ker = character_kernel(f)
             top = log_poly_eta(ctx_n, ker).coeffs
             low = log_poly_eta(ctx_m, ker).coeffs
@@ -383,6 +389,35 @@ class TestCache:
                              capture_output=True, text=True, check=True).stdout
         assert out.split() == [str(sorted(recs)), "2"]
 
+    def test_delta_presence_follows_f(self, tmp_path):
+        # delta exists exactly when f = 1 mod 8: a line that disagrees is
+        # corrupt, and a present delta is reduced mod 2^k like eta and beta
+        header = f"# {CACHE_VERSION}\n"
+        cache_path(tmp_path, 21, 1).write_text(header + "21 1 5 | 0 1 | 3 1 | 2\n")
+        loaded, warnings = load_records(tmp_path, 21, 1)
+        assert loaded == {} and len(warnings) == 1 and "corrupt" in warnings[0]
+        cache_path(tmp_path, 17, 1).write_text(
+            header + "17 1 5 | 0 1 | 3 1 | -\n17 1 7 | 0 1 | 3 1 | 6\n")
+        loaded, warnings = load_records(tmp_path, 17, 1)
+        assert list(loaded) == [7] and loaded[7].delta_scalar == 2
+        assert len(warnings) == 1 and ":2: corrupt" in warnings[0]
+
+    def test_split_line_without_delta_recomputed(self, tmp_path, caplog):
+        # a f = 6817 line stripped of its delta is skipped with one warning
+        # and recomputed: the certificate is the uncached one
+        primes = find_split_primes(6817, 1, 15)
+        get_records(6817, 1, primes, character_kernel(6817), cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6817, 1)
+        lines = path.read_text().split("\n")
+        lines[3] = lines[3].rpartition("|")[0] + "| -"
+        path.write_text("\n".join(lines))
+        with caplog.at_level(logging.WARNING, logger="greenberg.cyclo_logs"):
+            rep = verify(6817, RunConfig(cache_dir=tmp_path))
+        assert reports_json([rep]) == (GOLDEN / "verify_6817.json").read_text()
+        assert [r.getMessage() for r in caplog.records if "corrupt" in r.getMessage()] \
+            == [f"cache warning: {path}:4: corrupt cache line skipped "
+                "(delta present exactly when f = 1 mod 8)"]
+
     def test_version_bump_invalidates(self, tmp_path):
         recs = self._records(21, 1, 1)
         p = store_records(tmp_path, 21, 1, recs)
@@ -423,12 +458,14 @@ class TestCache:
 
 # a cache line: any bytes but the line separator, or a valid (21, 1) record
 _lines = (st.binary(max_size=80).map(lambda b: b.replace(b"\n", b""))
-          | st.sampled_from([b"21 1 22777 | 0 1 | 3 1 | -", b" 21 1 5 |3 3| 2 2 |7 "]))
+          | st.sampled_from([b"21 1 22777 | 0 1 | 3 1 | -", b" 21 1 5 |3 3| 2 2 |- "]))
 
 
 @st.composite
 def _records(draw):
-    """Valid records of one (n, k = n + 1) key: beta's coefficients sum to 0."""
+    """Valid records of one (f, n, k = n + 1) key: beta's coefficients sum
+    to 0, and delta is present exactly when f = 1 mod 8."""
+    f = draw(st.sampled_from([17, 21]))
     n = draw(st.integers(0, 3))
     mod = 1 << (n + 1)
     coeffs = st.lists(st.integers(0, mod - 1), min_size=1 << n, max_size=1 << n)
@@ -437,10 +474,10 @@ def _records(draw):
         eta = draw(coeffs)
         beta = draw(coeffs)
         beta[-1] = (beta[-1] - sum(beta)) % mod
-        delta = draw(st.none() | st.integers(0, mod - 1))
+        delta = draw(st.integers(0, mod - 1)) if f % 8 == 1 else None
         out[r] = PrimeLogRecord(r, LogPoly(n, n + 1, tuple(eta)),
                                 LogPoly(n, n + 1, tuple(beta)), delta)
-    return n, out
+    return f, n, out
 
 
 class TestCacheFuzz:
@@ -466,10 +503,10 @@ class TestCacheFuzz:
     @given(_records())
     @settings(max_examples=100, deadline=None)
     def test_store_load_round_trip(self, case):
-        n, records = case
+        f, n, records = case
         with tempfile.TemporaryDirectory() as d:
-            store_records(d, 21, n, records)
-            assert load_records(d, 21, n) == (records, [])
+            store_records(d, f, n, records)
+            assert load_records(d, f, n) == (records, [])
 
 
 class TestLogPoly:

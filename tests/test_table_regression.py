@@ -8,9 +8,10 @@ the published (J, n0, N), and no other radicand may qualify.
 
 import pytest
 
-from greenberg.group_ring import HowellIdeal, mutual_membership, parse_poly
+from greenberg.group_ring import HowellIdeal
 from greenberg.quadratic import class_number, is_squarefree
 from greenberg.verify import RunConfig, verify
+from oracles import mutual_membership, parse_poly
 
 # published rows below 2000: f -> (generators, n0, log2 N)
 PUBLISHED_5MOD8 = {
