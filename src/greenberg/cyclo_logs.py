@@ -7,18 +7,23 @@ mod r.  Every product is computed in F_r: the roots it needs are powers of
 the context's norm N, an element of F_r.  The three families:
 
   * eta:   products of ker(chi)-conjugates of zeta4 * (zeta_{2^(n+3)} zeta_f
-           - their inverses); one product of phi(f)/2 factors per coefficient
-           (the hot loop).  Each factor is a power of zeta_{2^(n+3)} times
-           an element of F_r, so the loop is an F_r product over the kernel,
-           vectorized over all 2^n conjugates, times one prefactor per
-           conjugate, a power of N,
+           - their inverses), one per coefficient (the hot loop).  Each
+           factor is a root of unity times an F_r element of the form
+           "point - constant", with one point per conjugate and one constant
+           per kernel residue; for f = 1 mod 4 the residues a and -a share
+           one factor, so the F_r product has |ker|/2 factors per
+           coefficient, else |ker|.  It is vectorized over all 2^n
+           conjugates,
   * beta:  a single cyclotomic-unit ratio of 2-power roots per coefficient,
   * delta (only f = 1 mod 8): a G_n-invariant unit, so one scalar c with
            log-polynomial c * (1 + X + ... + X^(2^n - 1)).
 
+The roots of unity in front of the products are never multiplied in: each
+is a power N^j, with discrete log j mod 2^k, and those of odd order (the
+powers of zeta_f) have log 0, so their logs are added to the product's.
 eta and beta take their discrete logs as one vector over the conjugates
-(:func:`~greenberg.finite_field.dlog_two_power_vec`).  Every eta product is
-asserted to land in F_r before its discrete log is taken; a failure means
+(:func:`~greenberg.finite_field.dlog_two_power_vec`).  Every eta prefactor
+is asserted to lie in F_r before the logs are taken; a failure means
 inputs outside the algorithm's domain and must never happen in a run.
 """
 
@@ -32,8 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from greenberg.finite_field import (FieldContext, build_field_context, dlog_two_power,
-                                    dlog_two_power_vec, is_prime, mulmod_vec, power_table)
+# dlog_two_power is unused here but stays bound: bench/tracer.py wraps
+# every name it traces at the modules that import it
+from greenberg.finite_field import (FieldContext, build_field_context,  # noqa: F401
+                                    dlog_two_power, dlog_two_power_vec, is_prime, mulmod_vec,
+                                    power_table)
 from greenberg.group_ring import to_T_basis
 from greenberg.quadratic import KernelSet
 
@@ -98,9 +106,9 @@ def find_split_primes(f: int, n: int, count: int, *, cap: int = PRIME_SWEEP_CAP)
 
 
 def _conjugate_exponents(n: int) -> np.ndarray:
-    """3^i mod 2^(n+3) for the 2^n conjugates i (3 generates G_n)."""
-    mod = 1 << (n + 3)
-    return np.asarray([pow(3, i, mod) for i in range(1 << n)], dtype=np.int64)
+    """3^i mod 2^(n+3) for the 2^n conjugates i (3 generates G_n), as int64
+    indices whatever the arithmetic branch."""
+    return power_table(3, 1 << n, 1 << (n + 3)).astype(np.int64)
 
 
 def _row_product(m: np.ndarray, r: int) -> np.ndarray:
@@ -117,40 +125,62 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
 
     Coefficient i is the discrete log of
 
-        prod_{a in ker} zeta4^(3^i) (A_i zeta_f^a - A_i^(-1) zeta_f^(-a)),
+        prod_{a in ker} zeta4^(3^i) (A_i z_a - A_i^(-1) z_a^(-1)),
 
-    with A_i = zeta_{2^(n+3)}^(3^i).  Each factor is
-    A_i^(-1) zeta_f^(-a) (w^(3^i) zeta_f^(2a) - 1) with w = A_0^2, and w and
-    zeta_f lie in F_r.  So the product is the prefactor
+    with A_i = zeta_{2^(n+3)}^(3^i) and z_a = zeta_f^a.  Each factor is
+    A_i^(-1) z_a^(-1) (x_i z_a^2 - 1) with x_i = w^(3^i), w = A_0^2, and
+    x_i and z_a lie in F_r.  The roots of unity in front are dropped from
+    the product and added as logs: every root the run uses is a power N^j
+    of the context's norm N, with log j mod 2^k, and roots of odd order
+    (the powers of zeta_f) have log 0.  With y = a + sqrt(q) the context's
+    candidate, A_0 = y^((r^2-1)/2^(n+3)), so A_0^(-|ker|) is
+    N^(-|ker| (r-1)/2^(n+3)), and it lies in F_r only when that exponent is
+    an integer.
 
-        zeta4^(3^i |ker|) A_i^(-|ker|) zeta_f^(-sum ker)
+    What is left is an F_r product of "point - constant" factors, formed
+    for all 2^n conjugates at once:
 
-    times an F_r product, formed for all 2^n conjugates at once: a block of
-    kernel residues by the 2^n conjugates at a time, each block folded to
-    one vector by pairwise products.  With y = a + sqrt(q) the context's
-    candidate, A_0 = y^((r^2-1)/2^(n+3)), so A_0^(-|ker|) is the power
-    N^(-|ker| (r-1)/2^(n+3)) of the norm N = y^(r+1), and it lies in F_r
-    only when that exponent is an integer.
+      * f = 1 mod 4: -1 lies in ker, and a, -a pair up as
+        (x z_a^2 - 1)(x z_a^(-2) - 1) = x (u - c_a) with u = x + x^(-1) and
+        c_a = z_a^2 + z_a^(-2), so the product runs over the |ker|/2
+        residues a < f/2 at the points u_i, and x_i^(|ker|/2) joins the
+        prefactor;
+      * f = 3 mod 4: x z_a^2 - 1 = z_a^2 (x - z_a^(-2)), at the points x_i.
+
+    No factor vanishes: x_i has 2-power order > 1 and z_a odd order.
     """
     assert kernel.f == ctx.f, "kernel and context disagree on f"
     r, n, f = ctx.r, ctx.n, ctx.f
     ord2 = 1 << (n + 3)
     ksize = len(kernel.residues)
-    # conjugate i's prefactor is the 3^i-th power of conjugate 0's
-    # (A_(i+1) = A_i^3), and an odd power of a 2-power root of unity lies in
-    # F_r exactly when the root does
+    # conjugate i's prefactor zeta4^(3^i |ker|) A_i^(-|ker|) is the 3^i-th
+    # power of conjugate 0's (A_(i+1) = A_i^3), and an odd power of a
+    # 2-power root of unity lies in F_r exactly when the root does
     assert ksize * (r - 1) % ord2 == 0, "eta conjugate product left F_r"
-    pre = pow(ctx.zeta4, ksize, r) * pow(ctx.norm, -(ksize * (r - 1) // ord2), r) % r
+    ordw = ord2 // 2
+    # conjugate 0's prefactor zeta4^|ker| A_0^(-|ker|) is N^j for this j
+    pre_log = ksize * (r - 1) // 4 - ksize * (r - 1) // ord2
     e3 = _conjugate_exponents(n)
-    acc = mulmod_vec(power_table(pre, ord2, r)[e3],
-                     pow(ctx.zeta_f, -sum(kernel.residues) % f, r), r)
-    wpow = power_table(ctx.w, ord2 // 2, r)[e3 % (ord2 // 2)]
-    zsq = power_table(ctx.zeta_f ** 2 % r, f, r)[list(kernel.residues)]
+    wpow = power_table(ctx.w, ordw, r)
+    x = wpow[e3 % ordw]
+    zsq = power_table(ctx.zeta_f ** 2 % r, f, r)
+    ker = np.asarray(kernel.residues, dtype=np.int64)
+    if f % 4 == 1:
+        pre_log += (ksize // 2) * (r - 1) // ordw       # x_0^(|ker|/2), w = N^((r-1)/ordw)
+        ker = ker[2 * ker < f]
+        points = (x + wpow[-e3 % ordw]) % r
+        consts = (zsq[ker] + zsq[f - ker]) % r
+    else:
+        points, consts = x, zsq[f - ker]
+    # a block of constants by all 2^n points at a time, each block folded
+    # to one vector by pairwise products
+    acc = np.ones_like(points)
     rows = max(1, _BLOCK >> n)
-    for start in range(0, ksize, rows):
-        factors = (mulmod_vec(zsq[start:start + rows, None], wpow, r) - 1) % r
-        acc = mulmod_vec(acc, _row_product(factors, r), r)
-    coeffs = dlog_two_power_vec(acc, ctx)
+    for start in range(0, len(consts), rows):
+        diff = points - consts[start:start + rows, None]
+        acc = mulmod_vec(acc, _row_product(np.where(diff < 0, diff + r, diff), r), r)
+    mod = 1 << ctx.k
+    coeffs = (dlog_two_power_vec(acc, ctx) + e3 * (pre_log % mod)) % mod
     return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
 
 
@@ -164,17 +194,19 @@ def log_poly_beta(ctx: FieldContext) -> LogPoly:
 
     with the half-exponent resolved exactly: (3^i - 3^(i+1))/2 = -3^i.
     All factors are rational over F_r, and the log of the quotient is the
-    difference of the logs.  The coefficient sum vanishes mod 2^k (the
-    functional kills the norm-compatible unit family).
+    difference of the logs.  Conjugate i's numerator is conjugate i+1's
+    denominator, so one discrete-log vector of 1 - w^(3^j), j = 0..2^n,
+    serves both, with w = zeta_{2^(n+2)}; the prefactor w^(-3^i) = N^j for
+    j = -3^i (r-1)/2^(n+2) has log j.  The coefficient sum vanishes mod 2^k
+    (the functional kills the norm-compatible unit family).
     """
     r, n = ctx.r, ctx.n
     ord2 = 1 << (n + 2)
-    e = _conjugate_exponents(n) % ord2
-    wpow = power_table(ctx.w, ord2, r)
-    num = mulmod_vec(wpow[-e % ord2], (1 - wpow[3 * e % ord2]) % r, r)
-    den = (1 - wpow[e]) % r
-    logs = dlog_two_power_vec(np.concatenate([num, den]), ctx)
-    coeffs = (logs[:1 << n] - logs[1 << n:]) % (1 << ctx.k)
+    e3 = _conjugate_exponents(n)
+    e = np.append(e3, 3 * e3[-1]) % ord2
+    logs = dlog_two_power_vec((1 - power_table(ctx.w, ord2, r)[e]) % r, ctx)
+    mod = 1 << ctx.k
+    coeffs = (logs[1:] - logs[:-1] - e[:-1] * ((r - 1) // ord2 % mod)) % mod
     poly = LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
     assert poly.aug() == 0, "beta lies in the augmentation ideal"
     return poly
@@ -188,10 +220,11 @@ def log_scalar_delta(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int
 
         zeta_f^(a (s-1)/2) (1 - zeta_f^a) / (1 - zeta_f^(a s)),
 
-    where s is the smallest non-kernel residue and (s-1)/2 is resolved by
-    the inverse of 2 mod f.  As in :func:`log_poly_eta`, the factors form a
-    residue array folded by pairwise products, and the roots of unity in
-    front combine into the single power zeta_f^((s-1)/2 * sum a).
+    where s is the smallest non-kernel residue.  As in
+    :func:`log_poly_eta`, the factors form a residue array folded by
+    pairwise products, and the roots of unity in front, of odd order, have
+    log 0; c is the log of the numerator product minus that of the
+    denominator product, both from one discrete-log vector.
     """
     if ctx.f % 8 != 1:
         raise ValueError("delta exists only when f = 1 mod 8")
@@ -200,17 +233,16 @@ def log_scalar_delta(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int
     ztab = power_table(ctx.zeta_f, f, r)
     ker = np.asarray(kernel.residues, dtype=np.int64)
     if not f_prime:
-        val = int(_row_product((1 - ztab[ker, None]) % r, r)[0])
+        cols = ker[:, None]
     else:
         s = next(a for a in range(2, f) if a not in kernel)
         ker = ker[ker <= (f - 1) // 2]
-        half = (s - 1) * pow(2, -1, f) % f
         # one row per residue: the numerator and denominator factors
-        num, den = _row_product((1 - ztab[np.stack([ker, ker * s % f], axis=1)]) % r,
-                                r).tolist()
-        val = pow(ctx.zeta_f, half * int(ker.sum()) % f, r) * num % r * pow(den, -1, r) % r
-    assert val % r != 0, "delta product degenerated"
-    return dlog_two_power(val, ctx)
+        cols = np.stack([ker, ker * s % f], axis=1)
+    vals = _row_product((1 - ztab[cols]) % r, r)
+    assert (vals != 0).all(), "delta product degenerated"
+    logs = dlog_two_power_vec(vals, ctx).tolist()
+    return logs[0] if not f_prime else (logs[0] - logs[1]) % (1 << ctx.k)
 
 
 def compute_record(f: int, n: int, r: int, kernel: KernelSet) -> PrimeLogRecord:

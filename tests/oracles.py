@@ -12,8 +12,9 @@ cyclotomic-norm square identity vs the eta product formula, the
 conjugate-by-conjugate F_{r^2} kernel product vs the F_r product vectorized
 over conjugates, the F_{r^2} candidate sweep vs the sweep over norms in F_r,
 the scalar loops over the kernel vs the folded residue-vector delta
-product, and the bit-by-bit 2-power discrete log vs the sorted-table vector
-lookup.
+product, two beta discrete-log vectors with the prefactor multiplied in vs
+one vector with the prefactor added as a log, and the bit-by-bit 2-power
+discrete log vs the sorted-table vector lookup.
 
 It also holds what only the tests need: ideal equality by double
 containment, the parser of printed polynomials, the context of another
@@ -29,7 +30,8 @@ from math import isqrt
 import numpy as np
 
 from greenberg.cyclo_logs import LogPoly
-from greenberg.finite_field import FieldContext, factorize, is_prime, smallest_nonresidue
+from greenberg.finite_field import (FieldContext, dlog_two_power_vec, factorize, is_prime,
+                                    mulmod_vec, power_table, smallest_nonresidue)
 from greenberg.group_ring import (HowellIdeal, RingSpec, Vec, from_coeffs, howell_form,
                                   norm_element, poly_mul_mod, t_shift, to_T_basis)
 from greenberg.quadratic import KernelSet
@@ -602,3 +604,18 @@ def log_scalar_delta_loop(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -
         num = num * tab[a * half % f] % r * (1 - tab[a]) % r
         den = den * (1 - tab[a * s % f]) % r
     return dlog_two_power_bits(num * pow(den, -1, r), ctx)
+
+
+def log_poly_beta_two_vectors(ctx: FieldContext) -> LogPoly:
+    """f_r^beta of :func:`greenberg.cyclo_logs.log_poly_beta` with the
+    prefactor multiplied into the numerator and separate discrete-log
+    vectors for the numerators and the denominators."""
+    r, n = ctx.r, ctx.n
+    ord2 = 1 << (n + 2)
+    e = np.asarray([pow(3, i, ord2) for i in range(1 << n)], dtype=np.int64)
+    wpow = power_table(ctx.w, ord2, r)
+    num = mulmod_vec(wpow[-e % ord2], (1 - wpow[3 * e % ord2]) % r, r)
+    den = (1 - wpow[e]) % r
+    logs = dlog_two_power_vec(np.concatenate([num, den]), ctx)
+    coeffs = (logs[:1 << n] - logs[1 << n:]) % (1 << ctx.k)
+    return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))

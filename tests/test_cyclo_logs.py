@@ -1,3 +1,4 @@
+import functools
 import logging
 import os
 import subprocess
@@ -13,17 +14,17 @@ from hypothesis import strategies as st
 import greenberg
 from greenberg import finite_field
 from greenberg.cli import reports_json
-from greenberg.cyclo_logs import (CACHE_VERSION, LogPoly, PrimeLogRecord, cache_path,
-                                  compute_record, find_split_primes, get_records,
-                                  load_records, log_poly_beta, log_poly_eta, log_scalar_delta,
-                                  store_records)
+from greenberg.cyclo_logs import (CACHE_VERSION, LogPoly, PrimeLogRecord,
+                                  _conjugate_exponents, cache_path, compute_record,
+                                  find_split_primes, get_records, load_records, log_poly_beta,
+                                  log_poly_eta, log_scalar_delta, store_records)
 from greenberg.finite_field import build_field_context, dlog_two_power, is_prime, mulmod_vec
 from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec,
                                   poly_mul_mod)
 from greenberg.quadratic import character_kernel
 from greenberg.verify import RunConfig, verify
-from oracles import (eta_square_log, log_poly_eta_fp2, log_scalar_delta_loop,
-                     mutual_membership, subcontext, to_X_basis)
+from oracles import (eta_square_log, log_poly_beta_two_vectors, log_poly_eta_fp2,
+                     log_scalar_delta_loop, mutual_membership, subcontext, to_X_basis)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -155,6 +156,30 @@ class TestBeta:
             ctx = build_field_context(r, n, f)
             assert log_poly_beta(ctx).aug() == 0
 
+    @pytest.mark.parametrize("f", [949, 323])
+    def test_matches_two_vector_oracle(self, f, arithmetic_branch):
+        # at n = 0, 3^(2^n) = 3 is not 1 mod 2^(n+2), the order of w: the
+        # last numerator is not the first denominator
+        for n in range(7):
+            for r in find_split_primes(f, n, 2):
+                ctx = build_field_context(r, n, f)
+                assert log_poly_beta(ctx) == log_poly_beta_two_vectors(ctx), (f, n, r)
+
+
+@functools.cache
+def _three_powers_loop(count: int, mod: int) -> np.ndarray:
+    return np.asarray([pow(3, i, mod) for i in range(count)], dtype=np.int64)
+
+
+def test_conjugate_exponents(arithmetic_branch):
+    # int64 in every branch: they index residue vectors.  3^i mod 2^(n+3)
+    # is the loop's 3^i mod 2^23 reduced, for every n <= 20
+    loop = _three_powers_loop(1 << 20, 1 << 23)
+    for n in range(21):
+        e = _conjugate_exponents(n)
+        assert e.dtype == np.int64
+        assert np.array_equal(e, loop[:1 << n] % (1 << (n + 3))), n
+
 
 class TestEta:
     def test_rationality_fuzz(self, rng, runnable_radicands):
@@ -194,6 +219,15 @@ class TestEta:
             ctx = build_field_context(r, n, f)
             ker = character_kernel(f)
             assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker), (f, n, r)
+
+    @pytest.mark.parametrize("f", [1605, 323])
+    def test_matches_fp2_oracle_each_case(self, f, arithmetic_branch):
+        # 1605 = 1 mod 4 pairs a with -a; 323 = 3 mod 4 does not
+        ker = character_kernel(f)
+        for n in range(5):
+            for r in find_split_primes(f, n, 2):
+                ctx = build_field_context(r, n, f)
+                assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker), (f, n, r)
 
     def test_matches_fp2_oracle_1605(self):
         ker = character_kernel(1605)

@@ -206,6 +206,16 @@ class TestDlog:
             assert (dlog_two_power(u * v % r, ctx)
                     == (dlog_two_power(u, ctx) + dlog_two_power(v, ctx)) % (1 << k))
 
+    def test_norm_powers_and_odd_order(self, rng):
+        # every root of a run is a power N^j of the norm, with log j; roots
+        # of odd order, the powers of zeta_f, have log 0
+        for r, n, f in ((22777, 1, 949), (45553, 2, 949), (109073, 2, 6817)):
+            ctx = build_field_context(r, n, f)
+            for j in [0, 1, 2, 3, (r - 1) // 4, (r - 1) >> (n + 2)] + \
+                    [rng.randrange(r) for _ in range(20)]:
+                assert dlog_two_power(pow(ctx.norm, j, r), ctx) == j % (1 << ctx.k), (r, j)
+            assert dlog_two_power(ctx.zeta_f, ctx) == 0
+
     def test_surjective(self):
         ctx = build_field_context(22777, 1, 949)
         seen = {dlog_two_power(u, ctx) for u in range(2, 500)}
