@@ -33,6 +33,7 @@ import logging
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +106,13 @@ def find_split_primes(f: int, n: int, count: int, *, cap: int = PRIME_SWEEP_CAP)
     return out
 
 
+@lru_cache(maxsize=None)
 def _conjugate_exponents(n: int) -> np.ndarray:
     """3^i mod 2^(n+3) for the 2^n conjugates i (3 generates G_n), as int64
-    indices whatever the arithmetic branch."""
-    return power_table(3, 1 << n, 1 << (n + 3)).astype(np.int64)
+    indices whatever the arithmetic branch; built once per level (read-only)."""
+    e3 = power_table(3, 1 << n, 1 << (n + 3)).astype(np.int64)
+    e3.flags.writeable = False
+    return e3
 
 
 def _row_product(m: np.ndarray, r: int) -> np.ndarray:
@@ -161,7 +165,7 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
     # conjugate 0's prefactor zeta4^|ker| A_0^(-|ker|) is N^j for this j
     pre_log = ksize * (r - 1) // 4 - ksize * (r - 1) // ord2
     e3 = _conjugate_exponents(n)
-    wpow = power_table(ctx.w, ordw, r)
+    wpow = ctx.w_powers
     x = wpow[e3 % ordw]
     zsq = power_table(ctx.zeta_f ** 2 % r, f, r)
     ker = np.asarray(kernel.residues, dtype=np.int64)
@@ -204,7 +208,7 @@ def log_poly_beta(ctx: FieldContext) -> LogPoly:
     ord2 = 1 << (n + 2)
     e3 = _conjugate_exponents(n)
     e = np.append(e3, 3 * e3[-1]) % ord2
-    logs = dlog_two_power_vec((1 - power_table(ctx.w, ord2, r)[e]) % r, ctx)
+    logs = dlog_two_power_vec((1 - ctx.w_powers[e]) % r, ctx)
     mod = 1 << ctx.k
     coeffs = (logs[1:] - logs[:-1] - e[:-1] * ((r - 1) // ord2 % mod)) % mod
     poly = LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
@@ -294,7 +298,8 @@ def load_records(cache_dir: str | Path, f: int, n: int
     Lines are split at "\n" only, the separator :func:`store_records`
     writes, and undecodable bytes become U+FFFD, so each corrupt line is
     skipped with exactly one warning.  So is a line whose delta is present
-    although f != 1 mod 8, or absent although f = 1 mod 8.
+    although f != 1 mod 8, or absent although f = 1 mod 8, and one with a
+    coefficient beyond int64.
     """
     path = cache_path(cache_dir, f, n)
     records: dict[int, PrimeLogRecord] = {}
@@ -306,6 +311,11 @@ def load_records(cache_dir: str | Path, f: int, n: int
         warnings.append(f"{path}: version mismatch, cache ignored")
         return records, warnings
     k = n + 1
+
+    def coeffs(field: str) -> tuple[int, ...]:
+        # one array conversion per field; a token past int64 raises OverflowError
+        return tuple((np.array(field.split(), dtype=np.int64) % (1 << k)).tolist())
+
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -314,13 +324,13 @@ def load_records(cache_dir: str | Path, f: int, n: int
             ff, nn, r = (int(x) for x in head.split())
             if (ff, nn) != (f, n):
                 raise ValueError("key mismatch")
-            eta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in eta_s.split()))
-            beta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in beta_s.split()))
+            eta = LogPoly(n, k, coeffs(eta_s))
+            beta = LogPoly(n, k, coeffs(beta_s))
             if (delta_s == "-") != (f % 8 != 1):
                 raise ValueError("delta present exactly when f = 1 mod 8")
             delta = None if delta_s == "-" else int(delta_s) % (1 << k)
             records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")
     return records, warnings
 

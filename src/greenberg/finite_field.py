@@ -20,6 +20,7 @@ arrays of Python ints beyond.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,20 @@ class FieldContext:
     zeta_f: int               # order f
     zeta_2k: int              # order 2^k
 
+    # tables every record at r shares, built on first use
+
+    @cached_property
+    def w_powers(self) -> np.ndarray:
+        """w^j for j < 2^(n+2), the order of w."""
+        return power_table(self.w, 1 << (self.n + 2), self.r)
+
+    @cached_property
+    def zeta_2k_sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2^k powers of zeta_2k in ascending order, and their exponents."""
+        table = power_table(self.zeta_2k, 1 << self.k, self.r)
+        order = np.argsort(table)
+        return table[order], order
+
 
 def build_field_context(r: int, n: int, f: int) -> FieldContext:
     """Construct the shared embedding for the prime r at level n.
@@ -199,16 +214,14 @@ def dlog_two_power_vec(u: np.ndarray, ctx: FieldContext) -> np.ndarray:
     Well defined for every entry in F_r^x: the power lands in the unique
     cyclic subgroup of order 2^k, generated by zeta_2k.  One vector power
     sends every entry there; each exponent in [0, 2^k) is then found in the
-    sorted table of the 2^k powers of zeta_2k.
+    context's sorted table of the 2^k powers of zeta_2k.
     """
     r, k = ctx.r, ctx.k
     u = u % r
     if (u == 0).any():
         raise ZeroDivisionError("dlog of zero")
     v = pow_vec(u, (r - 1) >> k, r)
-    table = power_table(ctx.zeta_2k, 1 << k, r)
-    order = np.argsort(table)
-    ranked = table[order]
+    ranked, order = ctx.zeta_2k_sorted
     pos = np.minimum(np.searchsorted(ranked, v), len(ranked) - 1)
     assert (ranked[pos] == v).all(), "element outside the order-2^k subgroup"
     return order[pos]

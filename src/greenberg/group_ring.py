@@ -28,18 +28,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 Vec = np.ndarray
 
 MAX_LEVEL = 20
 
 
-def _binomial_row(N: int, mod: int) -> np.ndarray:
-    """Row N of Pascal's triangle mod 2^d (additions only, so mod commutes)."""
-    row = np.zeros(N + 1, dtype=np.int64)
-    row[0] = 1
-    for i in range(N):
-        row[1:i + 2] = (row[1:i + 2] + row[:i + 1]) % mod
+@lru_cache(maxsize=None)
+def _binomial_power(s: int, mod: int) -> np.ndarray:
+    """Coefficients of (T+1)^(2^s) mod ``mod``, by squaring (read-only)."""
+    if s == 0:
+        row = np.ones(2, dtype=np.int64)
+    else:
+        half = _binomial_power(s - 1, mod)
+        row = np.convolve(half, half) % mod
+    row.flags.writeable = False
     return row
 
 
@@ -64,7 +68,7 @@ class RingSpec:
         self.divided = divided
         self.modulus = 1 << d
         if relation is None:
-            binom = _binomial_row(1 << n, self.modulus)
+            binom = _binomial_power(n, self.modulus)
             # divided: ((T+1)^(2^n) - 1) / T = sum_j C(2^n, j+1) T^j
             relation = binom[1:] if divided else np.concatenate(([0], binom[1:]))
         rel = np.asarray(relation, dtype=np.int64) % self.modulus
@@ -166,7 +170,7 @@ def power_table(x: Vec, count: int, spec: RingSpec) -> np.ndarray:
     t = one(spec)[None, :]
     while len(t) < count:
         xl = poly_mul_mod(t[-1], x, spec)
-        t = np.vstack([t, t @ np.array(_shifts(xl, spec)) % spec.modulus])
+        t = np.vstack([t, t @ mul_matrix(xl, spec) % spec.modulus])
     return t[:count]
 
 
@@ -178,6 +182,16 @@ def t_shift(a: Vec, spec: RingSpec) -> Vec:
     top = a[spec.rank - 1]
     if top:
         out = (out - top * spec.relation[:spec.rank]) % spec.modulus
+    return out
+
+
+def mul_matrix(v: Vec, ring: RingSpec) -> np.ndarray:
+    """Rows v, Tv, ..., T^(rank-1) v: the matrix of multiplication by v,
+    whose rows span the ideal (v) of the ring."""
+    out = np.zeros((ring.rank, ring.rank), dtype=np.int64)
+    out[:1] = v
+    for j in range(1, ring.rank):
+        out[j] = t_shift(out[j - 1], ring)
     return out
 
 
@@ -194,17 +208,33 @@ def norm_element(m: int, spec: RingSpec) -> Vec:
 
 
 def to_T_basis(xcoeffs, mod: int) -> np.ndarray:
-    """Substitute X = T + 1 (Horner); pure polynomial identity, no reduction."""
-    a = np.asarray(list(xcoeffs), dtype=np.int64)
-    res = np.zeros(len(a), dtype=np.int64)
-    for i in range(len(a) - 1, -1, -1):
-        res[1:] = (res[1:] + res[:-1]) % mod
-        res[0] = (res[0] + a[i]) % mod
-    return res
+    """Substitute X = T + 1 along the last axis (a stack converts row by
+    row); pure polynomial identity, no reduction.
+
+    A blockwise Taylor shift: with the length padded to a power of two,
+    stage s turns every block lo + X^b hi, b = 2^s, whose halves are
+    already in the T-basis, into lo + (T+1)^b hi, one product of all the
+    his with the matrix of rows T^j (T+1)^b, j < b.
+    """
+    a = np.asarray(xcoeffs, dtype=np.int64) % mod
+    length = a.shape[-1]
+    x = np.zeros(a.shape[:-1] + (1 << (length - 1).bit_length(),), dtype=np.int64)
+    x[..., :length] = a
+    for s in range((x.shape[-1] - 1).bit_length()):
+        b = 1 << s
+        blocks = x.reshape(-1, 2 * b)
+        # rows T^j (T+1)^b: windows of (T+1)^b zero-padded by b on each side
+        padded = np.zeros(3 * b, dtype=np.int64)
+        padded[b:2 * b + 1] = _binomial_power(s, mod)
+        shifted = blocks[:, b:] @ sliding_window_view(padded, 2 * b)[b:0:-1]
+        shifted[:, :b] += blocks[:, :b]
+        x = (shifted % mod).reshape(x.shape)
+    return x[..., :length]
 
 
 def from_X_coeffs(xcoeffs, spec: RingSpec) -> Vec:
-    """Ring element from ascending X-coefficients (X = T + 1) of any degree."""
+    """Ring element from ascending X-coefficients (X = T + 1) of any degree
+    (a stack: one element per row)."""
     return reduce_poly(to_T_basis(xcoeffs, spec.modulus), spec)
 
 
@@ -336,21 +366,17 @@ def weierstrass_polynomial(r: Vec, d: int) -> Vec:
     return np.append(-h[:v] % mod, 1)
 
 
-def _row_reduce(v: Vec, rows: np.ndarray, pivots: list[tuple[int, int]], mod: int) -> Vec:
-    """Canonical remainder of v against Howell rows (top degree down)."""
+def _row_reduce(v: np.ndarray, rows: np.ndarray, pivots: list[tuple[int, int]],
+                mod: int) -> np.ndarray:
+    """Canonical remainder of v against Howell rows (top degree down); a
+    stack of vectors reduces row by row.  A single vector reads each
+    multiplier as an int and skips the zero ones, the common case."""
     for (col, e), row in zip(reversed(pivots), reversed(rows)):
-        t = int(v[col]) >> e
-        if t:
+        if v.ndim > 1:
+            v = (v - (v[:, col, None] >> e) * row) % mod
+        elif t := int(v[col]) >> e:
             v = (v - t * row) % mod
     return v
-
-
-def _shifts(v: Vec, ring: RingSpec) -> list[Vec]:
-    """v, Tv, ..., T^(rank-1) v: spans the ideal (v) of the ring."""
-    out = [v]
-    for _ in range(ring.rank - 1):
-        out.append(t_shift(out[-1], ring))
-    return out
 
 
 class HowellIdeal:
@@ -395,9 +421,9 @@ class HowellIdeal:
             ideal = ideal.insert(g)
         return ideal
 
-    def reduce_vec(self, v: Vec) -> Vec:
+    def reduce_vec(self, v) -> np.ndarray:
         """Canonical remainder of v (any length): reduced modulo M, then
-        against the Howell rows."""
+        against the Howell rows.  A stack of vectors reduces row by row."""
         return _row_reduce(reduce_poly(v, self.ring), self.rows, self.pivots,
                            self.ring.modulus)
 
@@ -417,10 +443,10 @@ class HowellIdeal:
                             relation=weierstrass_polynomial(r, ring.d))
             if not ring.rank:
                 return HowellIdeal(self.spec, ring, np.zeros((0, 0), dtype=np.int64), [])
-            stack = [reduce_poly(self.rows, ring)] + _shifts(
-                reduce_poly(self.ring.relation, ring), ring)
+            stack = [reduce_poly(self.rows, ring),
+                     mul_matrix(reduce_poly(self.ring.relation, ring), ring)]
         else:
-            stack = [self.rows] + _shifts(r, ring)
+            stack = [self.rows, mul_matrix(r, ring)]
         return self._rebuilt(ring, np.vstack(stack))
 
     def _rebuilt(self, ring: RingSpec, stack: np.ndarray) -> "HowellIdeal":

@@ -22,12 +22,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from greenberg.cyclo_logs import (PrimeLogRecord, default_cache_dir, find_split_primes,
                                   get_records, iter_records)
-from greenberg.group_ring import (MAX_LEVEL, HowellIdeal, ReportedIdeal, RingSpec, Vec,
-                                  canonical_generators, divided_spec, from_coeffs, from_X_coeffs,
-                                  full_spec, norm_element, poly_mul_mod, power_table, scalar)
+# poly_mul_mod is unused here but stays bound: bench/tracer.py wraps every
+# name it traces at the modules that import it
+from greenberg.group_ring import (MAX_LEVEL, HowellIdeal, ReportedIdeal, RingSpec,  # noqa: F401
+                                  Vec, canonical_generators, divided_spec, from_coeffs,
+                                  from_X_coeffs, full_spec, mul_matrix, norm_element,
+                                  poly_mul_mod, power_table, scalar)
 from greenberg.quadratic import (GATE_TRIVIAL, KernelSet, QuadFieldInfo, character_kernel,
                                  class_number)
 
@@ -119,11 +123,11 @@ def _over_T(v: Vec, mod: int) -> Vec:
     return out
 
 
-def _cyclic_mul(a: Vec, b: Vec, mod: int) -> Vec:
-    """Product in Z/2^d[X]/(X^N - 1)."""
-    c = np.convolve(a, b) % mod
-    c[:len(a) - 1] += c[len(a):]
-    return c[:len(a)] % mod
+def _circulant(x: Vec) -> np.ndarray:
+    """Rows X^j x mod X^N - 1, j < N: the matrix of multiplication by x in
+    Z[X]/(X^N - 1), as a strided view of x repeated (no copy)."""
+    n = len(x)
+    return sliding_window_view(np.concatenate([x, x]), n)[n:0:-1]
 
 
 class PairAccumulator:
@@ -140,27 +144,32 @@ class PairAccumulator:
     functional is paired with every registered one:
     g = q_new e_old - q_old e_new, which is the pairing divided by T^s.
 
-    g is formed in the ideal's ring Z/2^d[T]/(M).  While M has the
-    relation's degree, the product is a cyclic convolution modulo
-    X^N - 1, which is T^s times the relation, then reduced modulo M; once
-    M drops, e and q are reduced once through the table of (T+1)^i mod M
-    and paired at rank deg M.  A product that changes by a multiple of M
-    or of the relation, both in J, generates the same ideal.
+    The registered functionals are kept as two stacked matrices E and Q,
+    so a new functional's g-vectors are one product E S(q) - Q S(e), for
+    S(x) the matrix of multiplication by x.  g is formed in the ideal's
+    ring Z/2^d[T]/(M).  While M has the relation's degree, S is the
+    circulant of cyclic X-shifts, the product is taken modulo X^N - 1,
+    which is T^s times the relation, and the rows are then reduced modulo
+    M; once M drops, E and Q go once through the table of (T+1)^i mod M,
+    and S(x) holds the T-shifts of x mod M, rank deg M.  A product that
+    changes by a multiple of M or of the relation, both in J, generates
+    the same ideal.
     """
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self.records: list[tuple[Vec, Vec, int]] = []     # split: eta, beta, delta
-        self.functionals: list[tuple[Vec, Vec]] = []
-        # once M drops: its ring, the table of (T+1)^i mod M, and every
-        # functional reduced through that table
+        width = 1 << spec.n
+        self.functionals = (np.zeros((0, width), dtype=np.int64),) * 2     # E, Q
+        # once M drops: its ring, the table of (T+1)^i mod M, and E, Q
+        # reduced through that table
         self._ring: RingSpec | None = None
         self._xpow: np.ndarray | None = None
-        self._reduced: list[tuple[Vec, Vec]] = []
+        self._reduced: tuple[np.ndarray, np.ndarray] | None = None
 
-    def add_prime(self, rec: PrimeLogRecord, ring: RingSpec) -> list[Vec]:
-        """The g-vectors this prime contributes, as elements of ``ring``,
-        the ideal's ring Z/2^d[T]/(M)."""
+    def add_prime(self, rec: PrimeLogRecord, ring: RingSpec) -> np.ndarray:
+        """The g-vectors this prime contributes, one per row, as elements
+        of ``ring``, the ideal's ring Z/2^d[T]/(M)."""
         mod = self.spec.modulus
         eta = np.asarray(rec.eta.coeffs, dtype=np.int64) % mod
         beta = np.asarray(rec.beta.coeffs, dtype=np.int64) % mod
@@ -178,28 +187,26 @@ class PairAccumulator:
                 new.append((_over_T((a * eta - b * eta_j) % mod, mod),
                             _over_T((a * beta - b * beta_j) % mod, mod)))
             self.records.append((eta, beta, c))
-        gs: list[Vec] = []
+        gs = [np.zeros((0, ring.rank), dtype=np.int64)]
         for e, q in new:
-            gs.extend(self._pair(e, q, ring))
-            self.functionals.append((e, q))
-        return gs
+            gs.append(self._pair(e, q, ring))
+            E, Q = self.functionals
+            self.functionals = (np.vstack([E, e]), np.vstack([Q, q]))
+        return np.vstack(gs)
 
-    def _pair(self, e: Vec, q: Vec, ring: RingSpec) -> list[Vec]:
+    def _pair(self, e: Vec, q: Vec, ring: RingSpec) -> np.ndarray:
         mod = ring.modulus
+        E, Q = self.functionals
         if ring.rank == self.spec.rank:
-            return [from_X_coeffs((_cyclic_mul(q, e_old, mod)
-                                   - _cyclic_mul(q_old, e, mod)) % mod, ring)
-                    for e_old, q_old in self.functionals]
+            return from_X_coeffs((E @ _circulant(q) - Q @ _circulant(e)) % mod, ring)
         if ring is not self._ring:
             self._ring = ring
             self._xpow = power_table(from_coeffs((1, 1), ring), len(e), ring)
-            self._reduced = [(e_old @ self._xpow % mod, q_old @ self._xpow % mod)
-                             for e_old, q_old in self.functionals]
+            self._reduced = (E @ self._xpow % mod, Q @ self._xpow % mod)
         e, q = e @ self._xpow % mod, q @ self._xpow % mod
-        gs = [(poly_mul_mod(q, e_old, ring) - poly_mul_mod(q_old, e, ring)) % mod
-              for e_old, q_old in self._reduced]
-        self._reduced.append((e, q))
-        return gs
+        RE, RQ = self._reduced
+        self._reduced = (np.vstack([RE, e]), np.vstack([RQ, q]))
+        return (RE @ mul_matrix(q, ring) - RQ @ mul_matrix(e, ring)) % mod
 
 
 def run_level(f: int, n: int, config: RunConfig,
@@ -229,14 +236,18 @@ def run_level(f: int, n: int, config: RunConfig,
         used.append(rec.r)
         gs = pairs.add_prime(rec, ideal.ring)
         grew = False
-        for g in gs:
-            new_ideal = ideal.insert(g)
-            if new_ideal is ideal:
-                trailing_noops += 1
-            else:
-                trailing_noops = 0
-                grew = True
-            ideal = new_ideal
+        # the prime's g-vectors in order: one stacked reduction finds the
+        # first non-member, which alone is inserted; the rest are reduced
+        # again against the grown ideal
+        while len(gs):
+            outside = np.flatnonzero(ideal.reduce_vec(gs).any(axis=1))
+            if not len(outside):
+                trailing_noops += len(gs)
+                break
+            ideal = ideal.insert(gs[outside[0]])
+            trailing_noops = 0
+            grew = True
+            gs = gs[outside[0] + 1:]
         quiet_primes = 0 if grew or count < 2 else quiet_primes + 1
         if config.adaptive and quiet_primes >= _ADAPTIVE_QUIET:
             break

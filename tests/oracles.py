@@ -13,8 +13,10 @@ conjugate-by-conjugate F_{r^2} kernel product vs the F_r product vectorized
 over conjugates, the F_{r^2} candidate sweep vs the sweep over norms in F_r,
 the scalar loops over the kernel vs the folded residue-vector delta
 product, two beta discrete-log vectors with the prefactor multiplied in vs
-one vector with the prefactor added as a log, and the bit-by-bit 2-power
-discrete log vs the sorted-table vector lookup.
+one vector with the prefactor added as a log, the bit-by-bit 2-power
+discrete log vs the sorted-table vector lookup, Horner's rule vs the
+blockwise Taylor shift for X = T + 1, and the per-token cache parser vs
+one array conversion per coefficient field.
 
 It also holds what only the tests need: ideal equality by double
 containment, the parser of printed polynomials, the context of another
@@ -29,11 +31,11 @@ from math import isqrt
 
 import numpy as np
 
-from greenberg.cyclo_logs import LogPoly
+from greenberg.cyclo_logs import CACHE_VERSION, LogPoly, PrimeLogRecord, cache_path
 from greenberg.finite_field import (FieldContext, dlog_two_power_vec, factorize, is_prime,
                                     mulmod_vec, power_table, smallest_nonresidue)
 from greenberg.group_ring import (HowellIdeal, RingSpec, Vec, from_coeffs, howell_form,
-                                  norm_element, poly_mul_mod, t_shift, to_T_basis)
+                                  norm_element, poly_mul_mod, t_shift)
 from greenberg.quadratic import KernelSet
 
 
@@ -278,6 +280,18 @@ class FullRankIdeal:
 # ---------------------------------------------------------------------------
 # pair functionals at full rank in the T-basis
 
+def to_T_basis_horner(xcoeffs, mod: int) -> np.ndarray:
+    """Substitute X = T + 1 by Horner's rule, one coefficient at a time;
+    the blockwise Taylor shift :func:`greenberg.group_ring.to_T_basis` is
+    checked against it."""
+    a = np.asarray(list(xcoeffs), dtype=np.int64)
+    res = np.zeros(len(a), dtype=np.int64)
+    for i in range(len(a) - 1, -1, -1):
+        res[1:] = (res[1:] + res[:-1]) % mod
+        res[0] = (res[0] + a[i]) % mod
+    return res
+
+
 def to_X_basis(tcoeffs, mod: int) -> np.ndarray:
     """Substitute T = X - 1 (Horner); inverse of
     :func:`greenberg.group_ring.to_T_basis`, for T-basis fixtures."""
@@ -321,8 +335,8 @@ def full_rank_pair_functionals(records, spec: RingSpec) -> list[Vec]:
     mod = full.modulus
     seen, funcs, out = [], [], []
     for rec in records:
-        eta = from_coeffs(rec.eta.to_T(), full)
-        quot = divide_by_aug(from_coeffs(rec.beta.to_T(), full), full)
+        eta = from_coeffs(to_T_basis_horner(rec.eta.coeffs, mod), full)
+        quot = divide_by_aug(from_coeffs(to_T_basis_horner(rec.beta.coeffs, mod), full), full)
         if spec.divided:
             c = rec.delta_scalar % mod
             new = []
@@ -619,3 +633,37 @@ def log_poly_beta_two_vectors(ctx: FieldContext) -> LogPoly:
     logs = dlog_two_power_vec(np.concatenate([num, den]), ctx)
     coeffs = (logs[:1 << n] - logs[1 << n:]) % (1 << ctx.k)
     return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
+
+
+def load_records_per_token(cache_dir, f: int, n: int
+                           ) -> tuple[dict[int, PrimeLogRecord], list[str]]:
+    """:func:`greenberg.cyclo_logs.load_records` with every coefficient
+    token read by its own ``int()``, so a token past int64 is reduced
+    mod 2^k instead of making its line corrupt."""
+    path = cache_path(cache_dir, f, n)
+    records: dict[int, PrimeLogRecord] = {}
+    warnings: list[str] = []
+    if not path.exists():
+        return records, warnings
+    lines = path.read_bytes().decode("utf-8", errors="replace").split("\n")
+    if lines[0].strip() != f"# {CACHE_VERSION}":
+        warnings.append(f"{path}: version mismatch, cache ignored")
+        return records, warnings
+    k = n + 1
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            head, eta_s, beta_s, delta_s = (part.strip() for part in line.split("|"))
+            ff, nn, r = (int(x) for x in head.split())
+            if (ff, nn) != (f, n):
+                raise ValueError("key mismatch")
+            eta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in eta_s.split()))
+            beta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in beta_s.split()))
+            if (delta_s == "-") != (f % 8 != 1):
+                raise ValueError("delta present exactly when f = 1 mod 8")
+            delta = None if delta_s == "-" else int(delta_s) % (1 << k)
+            records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
+        except ValueError as exc:
+            warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")
+    return records, warnings

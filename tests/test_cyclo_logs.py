@@ -23,8 +23,9 @@ from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec,
                                   poly_mul_mod)
 from greenberg.quadratic import character_kernel
 from greenberg.verify import RunConfig, verify
-from oracles import (eta_square_log, log_poly_beta_two_vectors, log_poly_eta_fp2,
-                     log_scalar_delta_loop, mutual_membership, subcontext, to_X_basis)
+from oracles import (eta_square_log, load_records_per_token, log_poly_beta_two_vectors,
+                     log_poly_eta_fp2, log_scalar_delta_loop, mutual_membership, subcontext,
+                     to_X_basis)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -175,6 +176,7 @@ def test_conjugate_exponents(arithmetic_branch):
     # int64 in every branch: they index residue vectors.  3^i mod 2^(n+3)
     # is the loop's 3^i mod 2^23 reduced, for every n <= 20
     loop = _three_powers_loop(1 << 20, 1 << 23)
+    _conjugate_exponents.cache_clear()      # built afresh in this branch
     for n in range(21):
         e = _conjugate_exponents(n)
         assert e.dtype == np.int64
@@ -541,6 +543,69 @@ class TestCacheFuzz:
         with tempfile.TemporaryDirectory() as d:
             store_records(d, f, n, records)
             assert load_records(d, f, n) == (records, [])
+
+
+# the digit sets int() reads besides ASCII: Arabic-Indic, Devanagari,
+# fullwidth and mathematical bold
+_DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",
+           "\U0001d7ce\U0001d7cf\U0001d7d0\U0001d7d1\U0001d7d2\U0001d7d3\U0001d7d4"
+           "\U0001d7d5\U0001d7d6\U0001d7d7")
+
+
+@st.composite
+def _token(draw):
+    """A coefficient token int() may or may not read: signed, with an
+    underscore or two anywhere, leading zeros, other digit sets, and values
+    far beyond int64."""
+    beyond = draw(st.integers(0, 7)) == 0
+    value = draw(st.integers(1 << 63, 1 << 80) if beyond
+                 else st.integers(0, 3) | st.integers(0, (1 << 63) - 1))
+    digits = "0" * draw(st.integers(0, 2)) + str(value)
+    digits = "".join(draw(st.sampled_from(_DIGITS))[int(c)] for c in digits)
+    if draw(st.integers(0, 3)) == 0:
+        cut = draw(st.integers(0, len(digits)))
+        digits = digits[:cut] + draw(st.sampled_from(["_", "__"])) + digits[cut:]
+    return draw(st.sampled_from(["", "+", "-"])) + digits
+
+
+@st.composite
+def _near_valid_line(draw):
+    """A (21, 1) cache line whose four coefficient tokens come from
+    _token, and those tokens."""
+    tokens = draw(st.lists(_token(), min_size=4, max_size=4))
+    if draw(st.booleans()):      # beta summing to 0 mod 4, when the tokens parse
+        try:
+            tokens[3] = str(-int(tokens[2]) + 4 * draw(st.integers(-2, 2)))
+        except ValueError:
+            pass
+    return f"21 1 22777 | {tokens[0]} {tokens[1]} | {tokens[2]} {tokens[3]} | -", tokens
+
+
+class TestCacheParserDifferential:
+    @given(_near_valid_line())
+    @settings(max_examples=300, deadline=None)
+    def test_array_parser_matches_per_token_parser(self, case):
+        # a line loads to the per-token parser's record or gives exactly one
+        # warning, and never raises; with every token within int64 the two
+        # parsers agree, past it the line is corrupt
+        line, tokens = case
+        with tempfile.TemporaryDirectory() as d:
+            cache_path(d, 21, 1).write_text(f"# {CACHE_VERSION}\n{line}\n")
+            got, warnings = load_records(d, 21, 1)
+            want, want_warnings = load_records_per_token(d, 21, 1)
+        assert len(got) + len(warnings) == 1
+        if got:
+            assert got == want
+        try:
+            in_int64 = all(-(1 << 63) <= int(t) < 1 << 63 for t in tokens)
+        except ValueError:
+            in_int64 = True
+        if in_int64:
+            assert (got, len(warnings)) == (want, len(want_warnings))
+        else:
+            assert warnings and "corrupt" in warnings[0]
 
 
 class TestLogPoly:

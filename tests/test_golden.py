@@ -23,6 +23,8 @@ GOLDEN = Path(__file__).parent / "golden"
     (("table", "--min", "3", "--max", "150", "--format", "csv"), "table_3_150.csv"),
     # 323 = 3 mod 4: the eta product without the a, -a pairing
     (("verify", "--f", "323", "--format", "json"), "verify_323.json"),
+    # the deep non-split row: pins stabilized_after of all ten levels
+    (("verify", "--f", "1605", "--format", "json"), "verify_1605.json"),
 ])
 def test_certificate(argv, name, capsys, monkeypatch):
     monkeypatch.delenv("GREENBERG_CACHE", raising=False)

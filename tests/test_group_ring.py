@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenberg.group_ring import (HowellIdeal, RingSpec, canonical_generators, divided_spec,
@@ -9,7 +9,7 @@ from greenberg.group_ring import (HowellIdeal, RingSpec, canonical_generators, d
                                   weierstrass_polynomial, zero)
 from greenberg.verify import _n0_sweep
 from oracles import (FullRankIdeal, contains_ideal, divide_by_aug, enumerate_span,
-                     mutual_membership, parse_poly, to_X_basis)
+                     mutual_membership, parse_poly, to_T_basis_horner, to_X_basis)
 
 
 def _shift_closure(spec, gens):
@@ -107,6 +107,26 @@ class TestBasisConversion:
         # X^2 = (T+1)^2 = T^2 + 2T + 1
         assert list(to_T_basis((0, 0, 1), 8)) == [1, 2, 1]
 
+    @given(st.integers(1, 4096), st.integers(2, 21), st.integers(0, 2**32 - 1))
+    @example(1, 2, 0)
+    @example(1024, 11, 1)
+    @example(4096, 21, 2)
+    @example(4095, 13, 3)
+    @example(1025, 5, 4)
+    @settings(max_examples=40, deadline=None)
+    def test_taylor_shift_matches_horner(self, length, d, seed):
+        # blockwise stages against one coefficient at a time; lengths off a
+        # power of two are padded, entries cover [0, 2^d)
+        mod = 1 << d
+        coeffs = np.random.default_rng(seed).integers(0, mod, length)
+        assert np.array_equal(to_T_basis(coeffs, mod), to_T_basis_horner(coeffs, mod))
+
+    def test_stack_converts_row_by_row(self, rng):
+        for length in (1, 3, 8, 100):
+            stack = np.array([[rng.randrange(64) for _ in range(length)] for _ in range(5)])
+            assert np.array_equal(to_T_basis(stack, 64),
+                                  [to_T_basis_horner(row, 64) for row in stack])
+
 
 class TestHowellIdeal:
     def test_insert_zero_is_noop(self):
@@ -166,6 +186,20 @@ class TestHowellIdeal:
             v = from_coeffs([rng.randrange(spec.modulus) for _ in range(spec.rank)], spec)
             r1 = ideal.reduce_vec(v)
             assert np.array_equal(ideal.reduce_vec(r1), r1)
+
+    def test_stacked_reduction_is_row_by_row(self, rng):
+        # a stack reduces as its rows do, whether longer than the ideal's
+        # ring (reduced modulo M first) or not; the empty stack too
+        for spec, gens in ((full_spec(3), [(2, 1), (0, 0, 2)]),
+                           (divided_spec(3), [(0, 2), (4, 4, 1)]),
+                           (full_spec(4), [(4,), (0, 2, 2), (0, 0, 0, 4)])):
+            ideal = HowellIdeal.from_generators(spec, gens)
+            for length in (ideal.ring.rank, spec.rank, 2 * spec.rank):
+                stack = np.array([[rng.randrange(spec.modulus) for _ in range(length)]
+                                  for _ in range(7)]).reshape(7, length)
+                assert np.array_equal(ideal.reduce_vec(stack),
+                                      [ideal.reduce_vec(v) for v in stack])
+                assert ideal.reduce_vec(stack[:0]).shape == (0, ideal.ring.rank)
 
     def test_canonical_form_independent_of_order(self, rng):
         spec = RingSpec(3, 2, divided=False)

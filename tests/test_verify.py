@@ -62,8 +62,11 @@ class TestRunLevelAgainstFullRankPairs:
     first; the reference builds every pair at full rank in the T-basis and
     divides the split pairs by T afterwards."""
 
+    # (17, 1): M drops to degree 0, and every later pairing is an empty
+    # vector; (1605, 7): a non-split level at rank 128
     @pytest.mark.parametrize("f, n", [(85, 2), (645, 3), (949, 3), (1605, 4),
-                                      (41, 2), (113, 3), (6817, 2), (6817, 4)])
+                                      (41, 2), (113, 3), (6817, 2), (6817, 4),
+                                      (17, 1), (1605, 7)])
     def test_same_ideal_and_tail_noops(self, f, n):
         level = run_level(f, n, RunConfig(primes=8))
         spec = divided_spec(n) if f % 8 == 1 else full_spec(n)
