@@ -29,7 +29,7 @@ for p in [2] + sorted(factorize(f)):
     print(f"  N^((r-1)/{p}) = {pow(ctx.norm, (r - 1) // p, r)}  (must not be 1)")
 
 # derived roots: zeta_m = N^((r-1)/m), all in F_r
-print(f"\nzeta4 = N^((r-1)/4) = {ctx.zeta4}")
+print(f"\nzeta4 = N^((r-1)/4) = {pow(ctx.norm, (r - 1) // 4, r)}")
 print(f"w = zeta_(2^{n+3})^2 = N^((r-1)/2^{n+2}) = {ctx.w}")
 print(f"zeta_f = N^((r-1)/{f}) = {ctx.zeta_f}")
 print(f"zeta_2k = N^((r-1)/2^{ctx.k}) = {ctx.zeta_2k}")

@@ -5,7 +5,7 @@
 # 2^(m + m0), certifying that the tower stabilized at level 1.
 
 from greenberg.cyclo_logs import compute_record, find_split_primes
-from greenberg.group_ring import canonical_generators
+from greenberg.group_ring import canonical_generators, to_T_basis
 from greenberg.quadratic import character_kernel, class_number
 from greenberg.verify import RunConfig, verify
 
@@ -17,11 +17,12 @@ print(f"f = {f}: h = {info.h}, m0 = {info.m0}, gate = {info.gate}\n")
 # parameter T = X - 1 (compare: each prime's pair is unique up to one
 # invertible scalar of the group ring)
 ker = character_kernel(f)
+mod = 4     # logs are taken mod 2^(n+1)
 print("r        eta(T)     beta(T)/T")
 for r in find_split_primes(f, 1, 6):
     rec = compute_record(f, 1, r, ker)
-    eta = rec.eta.to_T()
-    q = rec.beta.to_T()[1:] + (0,)   # beta has no constant term
+    eta = tuple(to_T_basis(rec.eta, mod).tolist())
+    q = tuple(to_T_basis(rec.beta, mod).tolist())[1:] + (0,)   # beta has no constant term
     print(f"{r:<9}{str(eta):<11}{q}")
 
 print("\nrunning the certification:")

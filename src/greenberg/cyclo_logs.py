@@ -38,12 +38,12 @@ from pathlib import Path
 
 import numpy as np
 
-# dlog_two_power is unused here but stays bound: bench/tracer.py wraps
-# every name it traces at the modules that import it
+# dlog_two_power and to_T_basis are unused here but stay bound:
+# bench/tracer.py wraps every name it traces at the modules that import it
 from greenberg.finite_field import (FieldContext, build_field_context,  # noqa: F401
                                     dlog_two_power, dlog_two_power_vec, is_prime, mulmod_vec,
                                     power_table)
-from greenberg.group_ring import to_T_basis
+from greenberg.group_ring import to_T_basis  # noqa: F401
 from greenberg.quadratic import KernelSet
 
 PRIME_SWEEP_CAP = 10_000_000
@@ -54,51 +54,47 @@ CACHE_VERSION = "greenberg-logcache v1 (X-basis coefficients)"
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class LogPoly:
-    """X-basis coefficients of f_r^u (coefficient i belongs to the i-th
-    conjugate), length 2^n, entries mod 2^k."""
-
-    n: int
-    k: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 1 << self.n:
-            raise ValueError(f"log-polynomial needs {1 << self.n} coefficients, "
-                             f"got {len(self.coeffs)}")
-
-    def to_T(self) -> tuple[int, ...]:
-        """The coefficients in the basis T = X - 1."""
-        return tuple(int(x) for x in to_T_basis(self.coeffs, 1 << self.k))
-
-    def aug(self) -> int:
-        """Evaluation at the group identity (X = 1)."""
-        return sum(self.coeffs) % (1 << self.k)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeLogRecord:
-    """The three log-polynomials of one auxiliary prime (delta as a scalar)."""
+    """The logs of one auxiliary prime at level n: eta and beta as int64
+    X-basis vectors of length 2^n (entry i belongs to the i-th conjugate)
+    with entries in [0, 2^k), k = n + 1, and delta as a scalar.  The
+    checks raise ValueError, so they hold under ``python -O``; the vectors
+    are made read-only."""
 
     r: int
-    eta: LogPoly
-    beta: LogPoly
+    eta: np.ndarray
+    beta: np.ndarray
     delta_scalar: int | None
 
     def __post_init__(self):
-        if self.beta.aug() != 0:
+        size = len(self.eta)
+        if len(self.beta) != size or not size or size & (size - 1):
+            raise ValueError(f"eta, beta lengths {size}, {len(self.beta)}: not one power of 2")
+        mod = 2 * size      # 2^k
+        for v in (self.eta, self.beta):
+            if v.dtype != np.int64 or v.min() < 0 or v.max() >= mod:
+                raise ValueError(f"log-polynomial entries must be int64 in [0, {mod})")
+            v.flags.writeable = False
+        if self.beta.sum() % mod:
             raise ValueError("beta log-polynomial must lie in the augmentation ideal")
 
+    def __eq__(self, other):
+        return (isinstance(other, PrimeLogRecord)
+                and (self.r, self.delta_scalar) == (other.r, other.delta_scalar)
+                and np.array_equal(self.eta, other.eta)
+                and np.array_equal(self.beta, other.beta))
 
-def find_split_primes(f: int, n: int, count: int, *, cap: int = PRIME_SWEEP_CAP) -> list[int]:
-    """First ``count`` primes r = 1 mod 2^(n+2)*f, in increasing order."""
+
+def find_split_primes(f: int, n: int, count: int) -> list[int]:
+    """First ``count`` primes r = 1 mod 2^(n+2)*f, in increasing order
+    (at most ``PRIME_SWEEP_CAP`` candidates are tried)."""
     modulus = (1 << (n + 2)) * f
     out: list[int] = []
     t = 1
     while len(out) < count:
-        if t > cap:
-            raise RuntimeError(f"prime sweep cap {cap} hit for f={f}, n={n}")
+        if t > PRIME_SWEEP_CAP:
+            raise RuntimeError(f"prime sweep cap {PRIME_SWEEP_CAP} hit for f={f}, n={n}")
         c = 1 + t * modulus
         if is_prime(c):
             out.append(c)
@@ -124,8 +120,8 @@ def _row_product(m: np.ndarray, r: int) -> np.ndarray:
     return m[0]
 
 
-def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
-    """Coefficients of f_r^eta: one kernel product per conjugate.
+def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> np.ndarray:
+    """X-basis coefficients of f_r^eta mod 2^k: one kernel product per conjugate.
 
     Coefficient i is the discrete log of
 
@@ -184,12 +180,11 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
         diff = points - consts[start:start + rows, None]
         acc = mulmod_vec(acc, _row_product(np.where(diff < 0, diff + r, diff), r), r)
     mod = 1 << ctx.k
-    coeffs = (dlog_two_power_vec(acc, ctx) + e3 * (pre_log % mod)) % mod
-    return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
+    return (dlog_two_power_vec(acc, ctx) + e3 * (pre_log % mod)) % mod
 
 
-def log_poly_beta(ctx: FieldContext) -> LogPoly:
-    """Coefficients of f_r^beta.
+def log_poly_beta(ctx: FieldContext) -> np.ndarray:
+    """X-basis coefficients of f_r^beta mod 2^k.
 
     Coefficient i is the discrete log of
 
@@ -210,10 +205,7 @@ def log_poly_beta(ctx: FieldContext) -> LogPoly:
     e = np.append(e3, 3 * e3[-1]) % ord2
     logs = dlog_two_power_vec((1 - ctx.w_powers[e]) % r, ctx)
     mod = 1 << ctx.k
-    coeffs = (logs[1:] - logs[:-1] - e[:-1] * ((r - 1) // ord2 % mod)) % mod
-    poly = LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
-    assert poly.aug() == 0, "beta lies in the augmentation ideal"
-    return poly
+    return (logs[1:] - logs[:-1] - e[:-1] * ((r - 1) // ord2 % mod)) % mod
 
 
 def log_scalar_delta(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int:
@@ -268,8 +260,8 @@ def cache_path(cache_dir: str | Path, f: int, n: int) -> Path:
 
 
 def _record_line(f: int, n: int, rec: PrimeLogRecord) -> str:
-    eta = " ".join(str(c) for c in rec.eta.coeffs)
-    beta = " ".join(str(c) for c in rec.beta.coeffs)
+    eta = " ".join(str(c) for c in rec.eta.tolist())
+    beta = " ".join(str(c) for c in rec.beta.tolist())
     delta = "-" if rec.delta_scalar is None else str(rec.delta_scalar)
     return f"{f} {n} {rec.r} | {eta} | {beta} | {delta}"
 
@@ -310,11 +302,15 @@ def load_records(cache_dir: str | Path, f: int, n: int
     if lines[0].strip() != f"# {CACHE_VERSION}":
         warnings.append(f"{path}: version mismatch, cache ignored")
         return records, warnings
-    k = n + 1
+    size = 1 << n
+    mod = 2 * size      # 2^k, k = n + 1
 
-    def coeffs(field: str) -> tuple[int, ...]:
+    def coeffs(field: str) -> np.ndarray:
         # one array conversion per field; a token past int64 raises OverflowError
-        return tuple((np.array(field.split(), dtype=np.int64) % (1 << k)).tolist())
+        v = np.array(field.split(), dtype=np.int64) % mod
+        if len(v) != size:
+            raise ValueError(f"log-polynomial needs {size} coefficients, got {len(v)}")
+        return v
 
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -324,11 +320,10 @@ def load_records(cache_dir: str | Path, f: int, n: int
             ff, nn, r = (int(x) for x in head.split())
             if (ff, nn) != (f, n):
                 raise ValueError("key mismatch")
-            eta = LogPoly(n, k, coeffs(eta_s))
-            beta = LogPoly(n, k, coeffs(beta_s))
+            eta, beta = coeffs(eta_s), coeffs(beta_s)
             if (delta_s == "-") != (f % 8 != 1):
                 raise ValueError("delta present exactly when f = 1 mod 8")
-            delta = None if delta_s == "-" else int(delta_s) % (1 << k)
+            delta = None if delta_s == "-" else int(delta_s) % mod
             records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
         except (ValueError, OverflowError) as exc:
             warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")

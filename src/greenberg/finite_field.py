@@ -110,7 +110,6 @@ class FieldContext:
     q: int                    # smallest quadratic nonresidue mod r
     a: int                    # the embedding's candidate y = a + sqrt(q)
     norm: int                 # N = a^2 - q, a quadratic nonresidue
-    zeta4: int                # order 4
     w: int                    # order 2^(n+2): the square of zeta_{2^(n+3)}
     zeta_f: int               # order f
     zeta_2k: int              # order 2^k
@@ -155,7 +154,6 @@ def build_field_context(r: int, n: int, f: int) -> FieldContext:
         raise ValueError(f"no generator of order {(1 << (n + 3)) * f} found for r={r}")
     k = n + 1
     return FieldContext(r=r, n=n, f=f, k=k, q=q, a=a, norm=norm,
-                        zeta4=pow(norm, (r - 1) // 4, r),
                         w=pow(norm, (r - 1) >> (n + 2), r),
                         zeta_f=pow(norm, (r - 1) // f, r),
                         zeta_2k=pow(norm, (r - 1) >> k, r))

@@ -170,9 +170,8 @@ class PairAccumulator:
     def add_prime(self, rec: PrimeLogRecord, ring: RingSpec) -> np.ndarray:
         """The g-vectors this prime contributes, one per row, as elements
         of ``ring``, the ideal's ring Z/2^d[T]/(M)."""
-        mod = self.spec.modulus
-        eta = np.asarray(rec.eta.coeffs, dtype=np.int64) % mod
-        beta = np.asarray(rec.beta.coeffs, dtype=np.int64) % mod
+        # the record's entries lie in [0, 2^d): the ring's own residues
+        mod, eta, beta = self.spec.modulus, rec.eta, rec.beta
         if not self.spec.divided:
             new = [(eta, _over_T(beta, mod))]
         else:

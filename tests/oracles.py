@@ -31,7 +31,7 @@ from math import isqrt
 
 import numpy as np
 
-from greenberg.cyclo_logs import CACHE_VERSION, LogPoly, PrimeLogRecord, cache_path
+from greenberg.cyclo_logs import CACHE_VERSION, PrimeLogRecord, cache_path
 from greenberg.finite_field import (FieldContext, dlog_two_power_vec, factorize, is_prime,
                                     mulmod_vec, power_table, smallest_nonresidue)
 from greenberg.group_ring import (HowellIdeal, RingSpec, Vec, from_coeffs, howell_form,
@@ -335,8 +335,8 @@ def full_rank_pair_functionals(records, spec: RingSpec) -> list[Vec]:
     mod = full.modulus
     seen, funcs, out = [], [], []
     for rec in records:
-        eta = from_coeffs(to_T_basis_horner(rec.eta.coeffs, mod), full)
-        quot = divide_by_aug(from_coeffs(to_T_basis_horner(rec.beta.coeffs, mod), full), full)
+        eta = from_coeffs(to_T_basis_horner(rec.eta, mod), full)
+        quot = divide_by_aug(from_coeffs(to_T_basis_horner(rec.beta, mod), full), full)
         if spec.divided:
             c = rec.delta_scalar % mod
             new = []
@@ -459,7 +459,7 @@ def field_context_fp2(r: int, n: int, f: int, *, candidate_offset: int = 0) -> F
     w, w_sqrt_q = Fp2Field(r, q).pow(ref.zeta_2n3, 2)
     assert w_sqrt_q == 0
     return FieldContext(r=r, n=n, f=f, k=n + 1, q=q, a=ref.a, norm=(ref.a * ref.a - q) % r,
-                        zeta4=ref.zeta4, w=w, zeta_f=ref.zeta_f, zeta_2k=ref.zeta_2k)
+                        w=w, zeta_f=ref.zeta_f, zeta_2k=ref.zeta_2k)
 
 
 def subcontext(ctx: FieldContext, m: int) -> FieldContext:
@@ -478,7 +478,7 @@ def subcontext(ctx: FieldContext, m: int) -> FieldContext:
         raise ValueError("subcontext level must not exceed the parent level")
     r, shift = ctx.r, 1 << (ctx.n - m)
     return FieldContext(r=r, n=m, f=ctx.f, k=m + 1, q=ctx.q, a=ctx.a, norm=ctx.norm,
-                        zeta4=ctx.zeta4, w=pow(ctx.w, shift, r),
+                        w=pow(ctx.w, shift, r),
                         zeta_f=pow(ctx.zeta_f, shift, r),
                         zeta_2k=pow(ctx.norm, (r - 1) >> (m + 1), r))
 
@@ -561,7 +561,7 @@ def eta_square_log_3mod4(ctx: FieldContext, kernel: KernelSet, i: int) -> int:
     return dlog_two_power_bits(acc, ctx)
 
 
-def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
+def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> np.ndarray:
     """f_r^eta one conjugate at a time, as a product of F_{r^2} factors.
 
     Coefficient i is the discrete log of
@@ -579,6 +579,8 @@ def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
     ord2 = 1 << (n + 3)
     ksize = len(kernel.residues)
     tab = [pow(ctx.zeta_f, j, r) for j in range(ctx.f)]
+    zeta4, zeta4_sqrt_q = gf.pow(A0, ord2 // 4)
+    assert zeta4_sqrt_q == 0        # 4 divides r - 1
     coeffs = []
     for i in range(1 << n):
         e3 = pow(3, i, ord2)
@@ -590,12 +592,12 @@ def log_poly_eta_fp2(ctx: FieldContext, kernel: KernelSet) -> LogPoly:
             fa = (A[0] * z - Ai[0] * zi) % r
             fb = (A[1] * z - Ai[1] * zi) % r
             pa, pb = (pa * fa + q * (pb * fb % r)) % r, (pa * fb + pb * fa) % r
-        z4 = pow(ctx.zeta4, (e3 % 4) * ksize % 4, r)
+        z4 = pow(zeta4, (e3 % 4) * ksize % 4, r)
         pa = pa * z4 % r
         pb = pb * z4 % r
         assert pb == 0 and pa != 0, "eta conjugate product left F_r"
         coeffs.append(dlog_two_power_bits(pa, ctx))
-    return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs))
+    return np.array(coeffs, dtype=np.int64)
 
 
 def log_scalar_delta_loop(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int:
@@ -620,7 +622,7 @@ def log_scalar_delta_loop(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -
     return dlog_two_power_bits(num * pow(den, -1, r), ctx)
 
 
-def log_poly_beta_two_vectors(ctx: FieldContext) -> LogPoly:
+def log_poly_beta_two_vectors(ctx: FieldContext) -> np.ndarray:
     """f_r^beta of :func:`greenberg.cyclo_logs.log_poly_beta` with the
     prefactor multiplied into the numerator and separate discrete-log
     vectors for the numerators and the denominators."""
@@ -631,8 +633,7 @@ def log_poly_beta_two_vectors(ctx: FieldContext) -> LogPoly:
     num = mulmod_vec(wpow[-e % ord2], (1 - wpow[3 * e % ord2]) % r, r)
     den = (1 - wpow[e]) % r
     logs = dlog_two_power_vec(np.concatenate([num, den]), ctx)
-    coeffs = (logs[:1 << n] - logs[1 << n:]) % (1 << ctx.k)
-    return LogPoly(n=n, k=ctx.k, coeffs=tuple(coeffs.tolist()))
+    return (logs[:1 << n] - logs[1 << n:]) % (1 << ctx.k)
 
 
 def load_records_per_token(cache_dir, f: int, n: int
@@ -650,6 +651,13 @@ def load_records_per_token(cache_dir, f: int, n: int
         warnings.append(f"{path}: version mismatch, cache ignored")
         return records, warnings
     k = n + 1
+
+    def coeffs(field: str) -> np.ndarray:
+        v = [int(x) % (1 << k) for x in field.split()]
+        if len(v) != 1 << n:
+            raise ValueError(f"log-polynomial needs {1 << n} coefficients, got {len(v)}")
+        return np.array(v, dtype=np.int64)
+
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -658,8 +666,7 @@ def load_records_per_token(cache_dir, f: int, n: int
             ff, nn, r = (int(x) for x in head.split())
             if (ff, nn) != (f, n):
                 raise ValueError("key mismatch")
-            eta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in eta_s.split()))
-            beta = LogPoly(n, k, tuple(int(x) % (1 << k) for x in beta_s.split()))
+            eta, beta = coeffs(eta_s), coeffs(beta_s)
             if (delta_s == "-") != (f % 8 != 1):
                 raise ValueError("delta present exactly when f = 1 mod 8")
             delta = None if delta_s == "-" else int(delta_s) % (1 << k)

@@ -250,6 +250,22 @@ class TestCacheCommand:
         assert code == 0
         assert not list(tmp_path.glob("logs_*.txt"))
 
+    def test_verify_cache_catches_tampered_record(self, capsys, tmp_path):
+        # the first record is always sampled; one eta coefficient moved mod 4
+        # keeps the line valid, so only the recomputation can catch it
+        _run(capsys, "verify", "--f", "85", "--cache-dir", str(tmp_path))
+        victim = tmp_path / "logs_85_1.txt"
+        lines = victim.read_text().splitlines()
+        head, eta, rest = lines[1].split("|", 2)
+        coeffs = eta.split()
+        coeffs[0] = str((int(coeffs[0]) + 1) % 4)
+        lines[1] = f"{head}| {' '.join(coeffs)} |{rest}"
+        victim.write_text("\n".join(lines) + "\n")
+        code, out, _ = _run(capsys, "cache", "inspect", "--cache-dir", str(tmp_path),
+                            "--verify-cache")
+        assert code == 2
+        assert "MISMATCH: f=85 n=1" in out
+
     def test_corrupt_entry_reported(self, capsys, tmp_path):
         _run(capsys, "verify", "--f", "85", "--cache-dir", str(tmp_path))
         victim = next(tmp_path.glob("logs_85_1.txt"))

@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenberg
-from greenberg import finite_field
+from greenberg import cyclo_logs, finite_field
 from greenberg.cli import reports_json
-from greenberg.cyclo_logs import (CACHE_VERSION, LogPoly, PrimeLogRecord,
-                                  _conjugate_exponents, cache_path, compute_record,
-                                  find_split_primes, get_records, load_records, log_poly_beta,
-                                  log_poly_eta, log_scalar_delta, store_records)
+from greenberg.cyclo_logs import (CACHE_VERSION, PrimeLogRecord, _conjugate_exponents,
+                                  cache_path, compute_record, find_split_primes, get_records,
+                                  load_records, log_poly_beta, log_poly_eta, log_scalar_delta,
+                                  store_records)
 from greenberg.finite_field import build_field_context, dlog_two_power, is_prime, mulmod_vec
-from greenberg.group_ring import (HowellIdeal, from_coeffs, full_spec,
-                                  poly_mul_mod)
+from greenberg.group_ring import HowellIdeal, from_coeffs, full_spec, poly_mul_mod, to_T_basis
 from greenberg.quadratic import character_kernel
 from greenberg.verify import RunConfig, verify
 from oracles import (eta_square_log, load_records_per_token, log_poly_beta_two_vectors,
@@ -28,6 +27,11 @@ from oracles import (eta_square_log, load_records_per_token, log_poly_beta_two_v
                      to_X_basis)
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _vec(*coeffs):
+    """An int64 log-polynomial vector, as records hold them."""
+    return np.array(coeffs, dtype=np.int64)
 
 
 class TestFindSplitPrimes:
@@ -44,9 +48,10 @@ class TestFindSplitPrimes:
         for r in find_split_primes(21, 2, 5):
             assert r % (16 * 21) == 1 and is_prime(r)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(cyclo_logs, "PRIME_SWEEP_CAP", 2)
         with pytest.raises(RuntimeError):
-            find_split_primes(949, 1, 3, cap=2)
+            find_split_primes(949, 1, 3)
 
 
 # the published level-1 table for f = 949: r -> (eta(T), beta(T)/T)
@@ -85,8 +90,8 @@ class TestAgainstPaperTables:
         spec = full_spec(n)
         for r, (eta_pub, beta_pub) in table.items():
             rec = compute_record(949, n, r, ker)
-            eta = from_coeffs(rec.eta.to_T(), spec)
-            beta = from_coeffs(rec.beta.to_T(), spec)
+            eta = from_coeffs(to_T_basis(rec.eta, spec.modulus), spec)
+            beta = from_coeffs(to_T_basis(rec.beta, spec.modulus), spec)
             pe = from_coeffs(eta_pub, spec)
             pb = from_coeffs(beta_pub, spec)
             assert np.array_equal(poly_mul_mod(eta, pb, spec),
@@ -100,7 +105,7 @@ class TestAgainstPaperTables:
         # zero is invariant under units, so the table's 0 entry is exact
         ker = character_kernel(949)
         rec = compute_record(949, 1, 151841, ker)
-        assert rec.eta.coeffs == (0, 0)
+        assert rec.eta.tolist() == [0, 0]
 
 
 # exact records under the production embedding: (f, n) -> r -> (eta, beta,
@@ -139,7 +144,7 @@ def test_golden_records(f, n):
     assert find_split_primes(f, n, len(table)) == sorted(table)
     for r, want in table.items():
         rec = compute_record(f, n, r, ker)
-        assert (rec.eta.coeffs, rec.beta.coeffs, rec.delta_scalar) == want, r
+        assert (tuple(rec.eta.tolist()), tuple(rec.beta.tolist()), rec.delta_scalar) == want, r
 
 
 class TestBeta:
@@ -147,7 +152,7 @@ class TestBeta:
         # beta_0 = -1 and log(-1) = 0 whenever r = 1 mod 2^(k+1)
         for r in find_split_primes(949, 0, 3):
             ctx = build_field_context(r, 0, 949)
-            assert log_poly_beta(ctx).coeffs == (0,)
+            assert log_poly_beta(ctx).tolist() == [0]
 
     def test_augmentation_vanishes(self, rng, small_radicands):
         for _ in range(25):
@@ -155,7 +160,7 @@ class TestBeta:
             n = rng.randrange(0, 3)
             r = rng.choice(find_split_primes(f, n, 3))
             ctx = build_field_context(r, n, f)
-            assert log_poly_beta(ctx).aug() == 0
+            assert log_poly_beta(ctx).sum() % (1 << ctx.k) == 0
 
     @pytest.mark.parametrize("f", [949, 323])
     def test_matches_two_vector_oracle(self, f, arithmetic_branch):
@@ -164,7 +169,8 @@ class TestBeta:
         for n in range(7):
             for r in find_split_primes(f, n, 2):
                 ctx = build_field_context(r, n, f)
-                assert log_poly_beta(ctx) == log_poly_beta_two_vectors(ctx), (f, n, r)
+                assert np.array_equal(log_poly_beta(ctx), log_poly_beta_two_vectors(ctx)), \
+                    (f, n, r)
 
 
 @functools.cache
@@ -209,7 +215,8 @@ class TestEta:
             with monkeypatch.context() as m:
                 m.setattr(finite_field, "_FLOAT_LIMIT", 0)
                 slow = log_poly_eta(ctx, ker)
-            assert fast == float_corrected == slow
+            assert np.array_equal(fast, float_corrected)
+            assert np.array_equal(fast, slow)
 
     def test_matches_fp2_oracle(self, rng, runnable_radicands, arithmetic_branch):
         # the F_r product over all conjugates equals the F_{r^2} product
@@ -220,7 +227,7 @@ class TestEta:
             r = rng.choice(find_split_primes(f, n, 3))
             ctx = build_field_context(r, n, f)
             ker = character_kernel(f)
-            assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker), (f, n, r)
+            assert np.array_equal(log_poly_eta(ctx, ker), log_poly_eta_fp2(ctx, ker)), (f, n, r)
 
     @pytest.mark.parametrize("f", [1605, 323])
     def test_matches_fp2_oracle_each_case(self, f, arithmetic_branch):
@@ -229,13 +236,14 @@ class TestEta:
         for n in range(5):
             for r in find_split_primes(f, n, 2):
                 ctx = build_field_context(r, n, f)
-                assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker), (f, n, r)
+                assert np.array_equal(log_poly_eta(ctx, ker), log_poly_eta_fp2(ctx, ker)), \
+                    (f, n, r)
 
     def test_matches_fp2_oracle_1605(self):
         ker = character_kernel(1605)
         for r in find_split_primes(1605, 6, 2):
             ctx = build_field_context(r, 6, 1605)
-            assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker), r
+            assert np.array_equal(log_poly_eta(ctx, ker), log_poly_eta_fp2(ctx, ker)), r
 
     @pytest.mark.parametrize("f", [3, 11, 19])
     def test_leaves_F_r_like_fp2_oracle(self, f):
@@ -248,7 +256,7 @@ class TestEta:
             for r in find_split_primes(f, n, 3):
                 ctx = build_field_context(r, n, f)
                 if r % (1 << (n + 3)) == 1:
-                    assert log_poly_eta(ctx, ker) == log_poly_eta_fp2(ctx, ker)
+                    assert np.array_equal(log_poly_eta(ctx, ker), log_poly_eta_fp2(ctx, ker))
                     continue
                 rejected += 1
                 for path in (log_poly_eta, log_poly_eta_fp2):
@@ -270,8 +278,8 @@ class TestEta:
             ctx_n = build_field_context(r, n, f)
             ctx_m = subcontext(ctx_n, m)
             ker = character_kernel(f)
-            top = log_poly_eta(ctx_n, ker).coeffs
-            low = log_poly_eta(ctx_m, ker).coeffs
+            top = log_poly_eta(ctx_n, ker).tolist()
+            low = log_poly_eta(ctx_m, ker).tolist()
             mod = 1 << k
             for i in range(1 << m):
                 total = sum(top[i + (j << m)] for j in range(1 << (n - m))) % mod
@@ -291,7 +299,7 @@ class TestEta:
             eta = log_poly_eta(ctx, ker)
             mod = 1 << ctx.k
             for i in range(1 << n):
-                assert 2 * eta.coeffs[i] % mod == eta_square_log(ctx, ker, i), (f, n, r, i)
+                assert 2 * eta[i] % mod == eta_square_log(ctx, ker, i), (f, n, r, i)
 
     def test_square_identity_3_mod_4(self, rng, runnable_radicands):
         # same identity through the sqrt(-1)*sqrt(-f) norm-group description;
@@ -307,7 +315,7 @@ class TestEta:
             eta = log_poly_eta(ctx, ker)
             mod = 1 << ctx.k
             for i in range(1 << n):
-                assert 2 * eta.coeffs[i] % mod == eta_square_log_3mod4(ctx, ker, i), \
+                assert 2 * eta[i] % mod == eta_square_log_3mod4(ctx, ker, i), \
                     (f, n, r, i)
 
 
@@ -394,7 +402,7 @@ class TestCache:
         assert cache_path(tmp_path, 21, 1).read_text() == text1
 
     def test_golden_line(self, tmp_path):
-        rec = PrimeLogRecord(22777, LogPoly(1, 2, (0, 1)), LogPoly(1, 2, (3, 1)), None)
+        rec = PrimeLogRecord(22777, _vec(0, 1), _vec(3, 1), None)
         path = store_records(tmp_path, 21, 1, {22777: rec})
         assert path.read_text() == ("# greenberg-logcache v1 (X-basis coefficients)\n"
                                     "21 1 22777 | 0 1 | 3 1 | -\n")
@@ -411,19 +419,40 @@ class TestCache:
 
     def test_invalid_records_skipped_under_optimize(self, tmp_path):
         # python -O strips asserts; a short eta and a beta outside the
-        # augmentation ideal must still be skipped with a warning each
+        # augmentation ideal must still be skipped with a warning each, and
+        # records with unequal lengths, a length that is not a power of two,
+        # an entry outside [0, 2^k) or beta outside the augmentation ideal
+        # must still be rejected
         recs = self._records(21, 1, 1)
         p = store_records(tmp_path, 21, 1, recs)
         p.write_text(p.read_text() + "21 1 101 | 1 | 1 3 | -\n21 1 103 | 0 1 | 1 1 | -\n")
-        code = ("import sys; from greenberg.cyclo_logs import load_records; "
-                "loaded, warnings = load_records(sys.argv[1], 21, 1); "
-                "print(sorted(loaded), len(warnings))")
+        bad = [((0, 1), (1, 3, 0, 0)), ((0, 1, 2), (0, 0, 0)), ((0, 4), (1, 3)),
+               ((0, -1), (1, 3)), ((0, 1), (-1, 1)), ((0, 1), (1, 1))]
+        code = ("import sys; import numpy as np; "
+                "from greenberg.cyclo_logs import PrimeLogRecord, load_records\n"
+                "loaded, warnings = load_records(sys.argv[1], 21, 1)\n"
+                "rejected = 0\n"
+                f"for eta, beta in {bad!r}:\n"
+                "    try:\n"
+                "        PrimeLogRecord(5, np.array(eta, dtype=np.int64),\n"
+                "                       np.array(beta, dtype=np.int64), None)\n"
+                "    except ValueError:\n"
+                "        rejected += 1\n"
+                "print(sorted(loaded), len(warnings), rejected)")
         src = str(Path(greenberg.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path)], env=env,
                              capture_output=True, text=True, check=True).stdout
-        assert out.split() == [str(sorted(recs)), "2"]
+        assert out.split() == [str(sorted(recs)), "2", str(len(bad))]
+
+    def test_lower_level_line_skipped(self, tmp_path):
+        # a level-1 line is a valid record on its own: only the loader knows
+        # the file's level needs 2^2 coefficients
+        header = f"# {CACHE_VERSION}\n"
+        cache_path(tmp_path, 21, 2).write_text(header + "21 2 5 | 0 1 | 3 1 | -\n")
+        loaded, warnings = load_records(tmp_path, 21, 2)
+        assert loaded == {} and len(warnings) == 1 and "corrupt" in warnings[0]
 
     def test_delta_presence_follows_f(self, tmp_path):
         # delta exists exactly when f = 1 mod 8: a line that disagrees is
@@ -511,8 +540,7 @@ def _records(draw):
         beta = draw(coeffs)
         beta[-1] = (beta[-1] - sum(beta)) % mod
         delta = draw(st.integers(0, mod - 1)) if f % 8 == 1 else None
-        out[r] = PrimeLogRecord(r, LogPoly(n, n + 1, tuple(eta)),
-                                LogPoly(n, n + 1, tuple(beta)), delta)
+        out[r] = PrimeLogRecord(r, _vec(*eta), _vec(*beta), delta)
     return f, n, out
 
 
@@ -608,12 +636,24 @@ class TestCacheParserDifferential:
             assert warnings and "corrupt" in warnings[0]
 
 
-class TestLogPoly:
+class TestPrimeLogRecord:
     def test_basis_round_trip(self):
-        p = LogPoly(2, 3, (1, 2, 3, 4))
-        assert p.to_T() == (2, 4, 7, 4)        # 1 + 2X + 3X^2 + 4X^3 at X = T + 1
-        assert tuple(to_X_basis(p.to_T(), 8)) == p.coeffs
+        rec = PrimeLogRecord(0, _vec(1, 2, 3, 4), _vec(1, 2, 3, 2), None)
+        t = to_T_basis(rec.eta, 8)
+        assert t.tolist() == [2, 4, 7, 4]      # 1 + 2X + 3X^2 + 4X^3 at X = T + 1
+        assert np.array_equal(to_X_basis(t, 8), rec.eta)
 
     def test_aug_is_basis_independent(self):
-        p = LogPoly(1, 2, (3, 1))
-        assert p.aug() == p.to_T()[0] == 0
+        rec = PrimeLogRecord(0, _vec(0, 1), _vec(3, 1), None)
+        assert rec.beta.sum() % 4 == to_T_basis(rec.beta, 4)[0] == 0
+
+    @pytest.mark.parametrize("f,n", [(949, 2), (6817, 1), (323, 3)])
+    def test_vectors_int64_read_only(self, f, n, arithmetic_branch):
+        # every branch hands add_prime int64 vectors it can use as they are
+        r = find_split_primes(f, n, 1)[0]
+        rec = compute_record(f, n, r, character_kernel(f))
+        for v in (rec.eta, rec.beta):
+            assert v.dtype == np.int64 and len(v) == 1 << n
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 0

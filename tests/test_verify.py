@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from greenberg.cyclo_logs import (LogPoly, PrimeLogRecord, compute_record, find_split_primes,
-                                  get_records)
+from greenberg.cyclo_logs import PrimeLogRecord, compute_record, find_split_primes, get_records
 from greenberg.group_ring import (HowellIdeal, RingSpec, divided_spec, from_coeffs, full_spec,
-                                  scalar)
+                                  scalar, to_T_basis)
 from greenberg.quadratic import character_kernel, class_number
 from greenberg.verify import PairAccumulator, RunConfig, check_termination, run_level, verify
 from oracles import contains_ideal, full_rank_pair_functionals, mutual_membership, to_X_basis
@@ -12,9 +11,9 @@ from oracles import contains_ideal, full_rank_pair_functionals, mutual_membershi
 
 def _synthetic_record(n, k, eta_t, beta_t, delta=None, r=0):
     """Record from T-basis fixtures (e.g. the published level tables)."""
-    eta = LogPoly(n, k, tuple(to_X_basis(eta_t, 1 << k).tolist()))
-    beta = LogPoly(n, k, tuple(to_X_basis(beta_t, 1 << k).tolist()))
-    return PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
+    assert len(eta_t) == len(beta_t) == 1 << n
+    return PrimeLogRecord(r=r, eta=to_X_basis(eta_t, 1 << k), beta=to_X_basis(beta_t, 1 << k),
+                          delta_scalar=delta)
 
 
 def _pairs(records, spec):
@@ -137,7 +136,7 @@ class TestFunctionalVanishing:
         ker = character_kernel(949)
         spec = full_spec(2)
         recs = [compute_record(949, 2, r, ker) for r in find_split_primes(949, 2, 4)]
-        betas = [from_coeffs(rec.beta.to_T(), spec) for rec in recs]
+        betas = [from_coeffs(to_T_basis(rec.beta, spec.modulus), spec) for rec in recs]
         quots = [divide_by_aug(b, spec) for b in betas]
         for i in range(len(recs)):
             for j in range(i):
