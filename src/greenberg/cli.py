@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
@@ -297,6 +296,10 @@ def cmd_table(args) -> int:
     # a forking pool starts all of its workers at the first submit, so it
     # gets no more of them than there are radicands
     workers = min(args.jobs, len(fs))
+    if workers > 1:
+        # imported here: the process pool loads multiprocessing, which a
+        # serial run would pay for at every start
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         calls = [(f, pool.submit(verify, f, cfg).result if pool else partial(verify, f, cfg))
                  for f in fs]

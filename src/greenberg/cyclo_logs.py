@@ -111,12 +111,37 @@ def _conjugate_exponents(n: int) -> np.ndarray:
     return e3
 
 
+@lru_cache(maxsize=None)
+def _beta_exponents(n: int) -> np.ndarray:
+    """3^j mod 2^(n+2) for j = 0..2^n, beta's exponents of w; built once
+    per level (read-only)."""
+    e3 = _conjugate_exponents(n)
+    e = np.append(e3, 3 * e3[-1]) % (1 << (n + 2))
+    e.flags.writeable = False
+    return e
+
+
+@lru_cache(maxsize=None)
+def _eta_residues(kernel: KernelSet) -> np.ndarray:
+    """The kernel residues eta's F_r product runs over: for f = 1 mod 4 one
+    of each pair a, -a (a < f/2), else all; built once per kernel (read-only)."""
+    ker = np.asarray(kernel.residues, dtype=np.int64)
+    if kernel.f % 4 == 1:
+        ker = ker[2 * ker < kernel.f]
+    ker.flags.writeable = False
+    return ker
+
+
 def _row_product(m: np.ndarray, r: int) -> np.ndarray:
-    """Product mod r of the rows of a 2-d residue array, folded pairwise."""
+    """Product mod r of the rows of a 2-d residue array, folded pairwise.
+    Entries may be signed, in (-r, r); with two or more rows the product
+    lies in [0, r)."""
     while len(m) > 1:
         half = len(m) // 2
         folded = mulmod_vec(m[:half], m[half:2 * half], r)
-        m = np.concatenate([folded, m[2 * half:]]) if len(m) % 2 else folded
+        if len(m) % 2:
+            folded[0] = mulmod_vec(folded[0], m[-1], r)
+        m = folded
     return m[0]
 
 
@@ -164,21 +189,19 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> np.ndarray:
     wpow = ctx.w_powers
     x = wpow[e3 % ordw]
     zsq = power_table(ctx.zeta_f ** 2 % r, f, r)
-    ker = np.asarray(kernel.residues, dtype=np.int64)
+    ker = _eta_residues(kernel)
     if f % 4 == 1:
         pre_log += (ksize // 2) * (r - 1) // ordw       # x_0^(|ker|/2), w = N^((r-1)/ordw)
-        ker = ker[2 * ker < f]
         points = (x + wpow[-e3 % ordw]) % r
         consts = (zsq[ker] + zsq[f - ker]) % r
     else:
         points, consts = x, zsq[f - ker]
-    # a block of constants by all 2^n points at a time, each block folded
-    # to one vector by pairwise products
+    # a block of constants by all 2^n points at a time, each block of
+    # signed differences in (-r, r) folded to one vector by pairwise products
     acc = np.ones_like(points)
     rows = max(1, _BLOCK >> n)
     for start in range(0, len(consts), rows):
-        diff = points - consts[start:start + rows, None]
-        acc = mulmod_vec(acc, _row_product(np.where(diff < 0, diff + r, diff), r), r)
+        acc = mulmod_vec(acc, _row_product(points - consts[start:start + rows, None], r), r)
     mod = 1 << ctx.k
     return (dlog_two_power_vec(acc, ctx) + e3 * (pre_log % mod)) % mod
 
@@ -201,8 +224,7 @@ def log_poly_beta(ctx: FieldContext) -> np.ndarray:
     """
     r, n = ctx.r, ctx.n
     ord2 = 1 << (n + 2)
-    e3 = _conjugate_exponents(n)
-    e = np.append(e3, 3 * e3[-1]) % ord2
+    e = _beta_exponents(n)
     logs = dlog_two_power_vec((1 - ctx.w_powers[e]) % r, ctx)
     mod = 1 << ctx.k
     return (logs[1:] - logs[:-1] - e[:-1] * ((r - 1) // ord2 % mod)) % mod

@@ -1,10 +1,10 @@
+import concurrent.futures
 import csv
 import importlib
 import io
 import json
 from concurrent.futures import Future
 
-from greenberg import cli
 from greenberg.cli import main
 from greenberg.group_ring import HowellIdeal, RingSpec, canonical_generators, poly_str
 
@@ -225,7 +225,7 @@ class TestTableCommand:
         argv = ("table", "--min", "3", "--max", "9", "--format", "csv")
         code, serial, _ = _run(capsys, *argv)
         assert code == 0
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         code, pooled, _ = _run(capsys, *argv, "--jobs", "5000")
         assert code == 0 and pooled == serial
         assert sizes == [3]                  # 3, 5 and 7; 4, 6, 8 and 9 are skipped

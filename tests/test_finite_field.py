@@ -1,13 +1,19 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenberg.cyclo_logs import find_split_primes
-from greenberg.finite_field import (build_field_context, dlog_two_power, dlog_two_power_vec,
-                                    factorize, is_prime, residue_vec, smallest_nonresidue)
+from greenberg.cyclo_logs import _row_product, find_split_primes
+from greenberg.finite_field import (_FLOORDIV_MIN, build_field_context, dlog_two_power,
+                                    dlog_two_power_vec, factorize, is_prime, mulmod_vec,
+                                    pow_vec, power_table, residue_vec, smallest_nonresidue)
 from greenberg.quadratic import is_squarefree
 from oracles import (Fp2Field, build_field_context_fp2, dlog_two_power_bits, embedding_root,
-                     field_context_fp2, subcontext, trial_is_prime)
+                     field_context_fp2, is_prime_12_witnesses, subcontext, trial_is_prime)
+
+# psi_t, the least strong pseudoprime to the first t prime witnesses
+PSI = {4: 3215031751, 7: 341550071728321, 9: 3825123056546413051,
+       12: 318665857834031151167461}
 
 
 class TestIsPrime:
@@ -37,6 +43,36 @@ class TestIsPrime:
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle(self, m):
         assert is_prime(m) == trial_is_prime(m)
+
+    def test_witness_tier_bounds(self):
+        # each psi_t fools the first t witnesses, and the test either
+        # uses more of them or refuses to answer
+        assert PSI[12] == 399165290221 * 798330580441
+        for t in (4, 7, 9):
+            assert not is_prime(PSI[t]), t
+        with pytest.raises(ValueError):
+            is_prime(PSI[12])
+        with pytest.raises(ValueError):
+            is_prime((1 << 89) - 1)         # a prime past the bound
+
+    def test_tiers_match_twelve_witnesses_near_bounds(self):
+        for t, psi in PSI.items():
+            top = psi if t == 12 else psi + 2001
+            for m in range(psi - 2001, top, 2):
+                assert is_prime(m) == is_prime_12_witnesses(m), m
+
+    def test_tiers_match_twelve_witnesses_on_sweep_candidates(self):
+        # every candidate r = 1 + t 2^(n+2) f the benchmark's radicands
+        # reach, up to the 15th prime of each level
+        radicands = [f for f in range(3, 600, 2) if is_squarefree(f)] + [949, 1605, 2397, 6817]
+        for f in radicands:
+            for n in range(11 if f in (1605, 6817) else 8):
+                modulus, found, c = (1 << (n + 2)) * f, 0, 1
+                while found < 15:
+                    c += modulus
+                    prime = is_prime_12_witnesses(c)
+                    assert is_prime(c) == prime, (f, n, c)
+                    found += prime
 
 
 def _zeta(ctx):
@@ -254,3 +290,63 @@ class TestDlogVec:
         ctx = build_field_context(22777, 1, 949)
         with pytest.raises(ZeroDivisionError):
             dlog_two_power_vec(residue_vec([1, 0, 5], ctx.r), ctx)
+
+
+def _signed(rng, r, size):
+    """Entries in (-r, r), the extremes first."""
+    return [-(r - 1), r - 1, 0, -1][:size] + [rng.randrange(1 - r, r) for _ in range(size - 4)]
+
+
+class TestResidueKernels:
+    # every result is compared with Python-int arithmetic
+
+    @pytest.mark.parametrize("r, size", [
+        ((1 << 31) - 1, _FLOORDIV_MIN - 1),     # int64, remainder
+        ((1 << 31) - 1, _FLOORDIV_MIN + 1),     # int64, floor division
+        ((1 << 31) + 11, 300),                  # float-corrected
+        ((1 << 49) + 9, 300),
+        ((1 << 50) + 55, 300),                  # Python ints
+        ((1 << 61) - 1, 300)])
+    def test_mulmod_signed_operands(self, rng, r, size):
+        a, b = _signed(rng, r, size), _signed(rng, r, size)[::-1]
+        dtype = residue_vec([], r).dtype        # the branch's dtype, unreduced entries
+        av, bv = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+        assert mulmod_vec(av, bv, r).tolist() == [x * y % r for x, y in zip(a, b)]
+        assert mulmod_vec(av, b[7], r).tolist() == [x * b[7] % r for x in a]
+
+    def test_pow_vec(self, rng, arithmetic_branch):
+        ctx = build_field_context(45553, 2, 949)
+        r = ctx.r
+        for shape in ((700,), (3, 5), (2, 1100)):
+            base = np.array([rng.randrange(r) for _ in range(int(np.prod(shape)))])
+            base = residue_vec(base.reshape(shape), r)
+            for e in (0, 1, 2, 1 << 20, (r - 1) >> ctx.k, rng.randrange(r)):
+                want = [[pow(x, e, r) for x in row] for row in base.reshape(-1, shape[-1]).tolist()]
+                got = pow_vec(base, e, r)
+                assert got.shape == shape and got.reshape(-1, shape[-1]).tolist() == want, e
+
+    def test_power_table(self, arithmetic_branch):
+        r, g = 45553, 12345
+        for count in (0, 1, 2, 3, 8, 13, 64, 100):
+            assert power_table(g, count, r).tolist() == [pow(g, j, r) for j in range(count)]
+
+    def test_row_product(self, rng):
+        r = 45553
+        for rows in range(1, 10):
+            m = np.array([_signed(rng, r, 6) for _ in range(rows)], dtype=np.int64)
+            want = [1] * 6
+            for row in m.tolist():
+                want = [w * x % r for w, x in zip(want, row)]
+            got = _row_product(m, r).tolist()
+            # one row is returned as it is; a product of two or more is reduced
+            assert [v % r for v in got] == want and (rows == 1 or got == want), rows
+
+    def test_zeta_2k_table_is_even_w_powers(self, rng, small_radicands):
+        for _ in range(10):
+            f = rng.choice(small_radicands)
+            n = rng.randrange(0, 6)
+            ctx = build_field_context(rng.choice(find_split_primes(f, n, 3)), n, f)
+            table = power_table(ctx.zeta_2k, 1 << ctx.k, ctx.r)
+            ranked, order = ctx.zeta_2k_sorted
+            assert ranked.tolist() == sorted(table.tolist())
+            assert table[order].tolist() == ranked.tolist()
