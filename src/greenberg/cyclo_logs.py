@@ -35,6 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from warnings import catch_warnings, filterwarnings
 
 import numpy as np
 
@@ -50,6 +51,7 @@ PRIME_SWEEP_CAP = 10_000_000
 _BLOCK = 1 << 13                # residues per eta block (kernel rows x conjugates)
 
 CACHE_VERSION = "greenberg-logcache v1 (X-basis coefficients)"
+_INT64_MAX = np.iinfo(np.int64).max
 
 log = logging.getLogger(__name__)
 
@@ -328,27 +330,42 @@ def load_records(cache_dir: str | Path, f: int, n: int
     mod = 2 * size      # 2^k, k = n + 1
 
     def coeffs(field: str) -> np.ndarray:
-        # one array conversion per field; a token past int64 raises OverflowError
-        v = np.array(field.split(), dtype=np.int64) % mod
+        # one C pass per field.  fromstring reads a lone sign as 0, saturates
+        # a token past int64 and stops at trailing data; such fields, never
+        # written by store_records, are read one int() per token instead,
+        # where a token past int64 is an OverflowError
+        v = None
+        if "-" not in field and "+" not in field:
+            try:
+                v = np.fromstring(field, dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                pass
+            if v is not None and len(v) and v.max() == _INT64_MAX:
+                v = None
+        if v is None:
+            v = np.array(field.split(), dtype=np.int64)
         if len(v) != size:
             raise ValueError(f"log-polynomial needs {size} coefficients, got {len(v)}")
-        return v
+        return v % mod
 
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            head, eta_s, beta_s, delta_s = (part.strip() for part in line.split("|"))
-            ff, nn, r = (int(x) for x in head.split())
-            if (ff, nn) != (f, n):
-                raise ValueError("key mismatch")
-            eta, beta = coeffs(eta_s), coeffs(beta_s)
-            if (delta_s == "-") != (f % 8 != 1):
-                raise ValueError("delta present exactly when f = 1 mod 8")
-            delta = None if delta_s == "-" else int(delta_s) % mod
-            records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
-        except (ValueError, OverflowError) as exc:
-            warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")
+    with catch_warnings():
+        # numpy 2 raises at trailing data, numpy < 2 only warns with this
+        filterwarnings("error", "string or file could not be read", DeprecationWarning)
+        for ln, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            try:
+                head, eta_s, beta_s, delta_s = (part.strip() for part in line.split("|"))
+                ff, nn, r = (int(x) for x in head.split())
+                if (ff, nn) != (f, n):
+                    raise ValueError("key mismatch")
+                eta, beta = coeffs(eta_s), coeffs(beta_s)
+                if (delta_s == "-") != (f % 8 != 1):
+                    raise ValueError("delta present exactly when f = 1 mod 8")
+                delta = None if delta_s == "-" else int(delta_s) % mod
+                records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
+            except (ValueError, OverflowError) as exc:
+                warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")
     return records, warnings
 
 

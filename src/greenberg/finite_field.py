@@ -220,15 +220,17 @@ def mulmod_vec(a: np.ndarray, b, r: int) -> np.ndarray:
 
 
 def pow_vec(base: np.ndarray, e: int, r: int) -> np.ndarray:
-    """Elementwise base^e mod r by square-and-multiply (e >= 0)."""
-    acc = np.ones_like(base)
+    """Elementwise base^e mod r by square-and-multiply (e >= 0), a new array.
+    The accumulator starts as the power at the lowest set bit of e, so no
+    product by 1 is formed."""
+    acc = None
     while e:
         if e & 1:
-            acc = mulmod_vec(acc, base, r)
+            acc = base % r if acc is None else mulmod_vec(acc, base, r)
         e >>= 1
         if e:
             base = mulmod_vec(base, base, r)
-    return acc
+    return np.ones_like(base) if acc is None else acc
 
 
 def power_table(g: int, count: int, r: int) -> np.ndarray:

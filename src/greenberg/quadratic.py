@@ -16,27 +16,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
+import numpy as np
+
 from greenberg.finite_field import factorize
 
 GATE_RUN_SPLIT = "run_split"
 GATE_RUN_NONSPLIT = "run_nonsplit"
 GATE_TRIVIAL = "trivially_stable"
-
-
-def _jacobi(b: int, a: int) -> int:
-    """Jacobi symbol (b|a) for odd positive a."""
-    b %= a
-    t = 1
-    while b:
-        while b % 2 == 0:
-            b //= 2
-            if a % 8 in (3, 5):
-                t = -t
-        a, b = b, a
-        if a % 4 == 3 and b % 4 == 3:
-            t = -t
-        b %= a
-    return t if a == 1 else 0
 
 
 def is_squarefree(m: int) -> bool:
@@ -71,14 +57,22 @@ def character_kernel(f: int) -> KernelSet:
 
     The character is the Kronecker symbol of the discriminant f or -f,
     whichever is 1 mod 4; by reciprocity it equals the Jacobi symbol (a|f),
-    which is 0 on residues not prime to f.
+    which is 0 on residues not prime to f.  That symbol is the product of
+    the Legendre symbols (a|p) over the primes p | f, each read from the
+    table of squares mod p.
     """
     _require_valid_radicand(f)
     case = "chi_f" if f % 4 == 1 else "chi_minus_f"
-    residues = tuple(a for a in range(1, f) if _jacobi(a, f) == 1)
+    a = np.arange(f, dtype=np.int64)
+    chi = np.ones(f, dtype=np.int64)
     phi = 1
-    for p, _ in factorize(f).items():
+    for p in factorize(f):
+        legendre = np.full(p, -1, dtype=np.int64)
+        legendre[a[:p] ** 2 % p] = 1
+        legendre[0] = 0
+        chi *= legendre[a % p]
         phi *= p - 1
+    residues = tuple(np.flatnonzero(chi == 1).tolist())
     assert len(residues) == phi // 2, "kernel must have index 2 in (Z/f)^x"
     return KernelSet(f=f, sign_case=case, residues=residues)
 

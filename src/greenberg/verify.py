@@ -31,7 +31,7 @@ from greenberg.cyclo_logs import (PrimeLogRecord, default_cache_dir, find_split_
 from greenberg.group_ring import (MAX_LEVEL, HowellIdeal, ReportedIdeal, RingSpec,  # noqa: F401
                                   Vec, canonical_generators, divided_spec, from_coeffs,
                                   from_X_coeffs, full_spec, mul_matrix, norm_element,
-                                  poly_mul_mod, power_table, scalar)
+                                  poly_mul_mod, power_table, reduce_poly, scalar)
 from greenberg.quadratic import (GATE_TRIVIAL, KernelSet, QuadFieldInfo, character_kernel,
                                  class_number)
 
@@ -150,22 +150,23 @@ class PairAccumulator:
     ring Z/2^d[T]/(M).  While M has the relation's degree, S is the
     circulant of cyclic X-shifts, the product is taken modulo X^N - 1,
     which is T^s times the relation, and the rows are then reduced modulo
-    M; once M drops, E and Q go once through the table of (T+1)^i mod M,
-    and S(x) holds the T-shifts of x mod M, rank deg M.  A product that
-    changes by a multiple of M or of the relation, both in J, generates
-    the same ideal.
+    M; once M drops, E and Q go once through the table of (T+1)^i mod M
+    and are held in that ring from then on, and S(x) holds the T-shifts
+    of x mod M, rank deg M.  The table is built when M first drops; when M
+    changes again, the table, E and Q are carried over by reducing them
+    modulo the new M.  A product or a row that changes by a multiple of M
+    or of the relation, both in J, generates the same ideal, and every
+    membership test reads the canonical Howell remainder of its coset.
     """
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self.records: list[tuple[Vec, Vec, int]] = []     # split: eta, beta, delta
         width = 1 << spec.n
-        self.functionals = (np.zeros((0, width), dtype=np.int64),) * 2     # E, Q
-        # once M drops: its ring, the table of (T+1)^i mod M, and E, Q
-        # reduced through that table
+        # E, Q: X-basis rows until M drops, then rows of the ring _ring
+        self.functionals = (np.zeros((0, width), dtype=np.int64),) * 2
         self._ring: RingSpec | None = None
-        self._xpow: np.ndarray | None = None
-        self._reduced: tuple[np.ndarray, np.ndarray] | None = None
+        self._xpow: np.ndarray | None = None      # (T+1)^i mod M, once M drops
 
     def add_prime(self, rec: PrimeLogRecord, ring: RingSpec) -> np.ndarray:
         """The g-vectors this prime contributes, one per row, as elements
@@ -173,39 +174,41 @@ class PairAccumulator:
         # the record's entries lie in [0, 2^d): the ring's own residues
         mod, eta, beta = self.spec.modulus, rec.eta, rec.beta
         if not self.spec.divided:
-            new = [(eta, _over_T(beta, mod))]
-        else:
-            assert rec.delta_scalar is not None
-            c = rec.delta_scalar % mod
-            new = []
-            for eta_j, beta_j, c_j in self.records:
-                if c_j == 0 and c == 0:
-                    continue
-                s = min((x & -x).bit_length() - 1 for x in (c_j, c) if x)
-                a, b = c_j >> s, c >> s
-                new.append((_over_T((a * eta - b * eta_j) % mod, mod),
-                            _over_T((a * beta - b * beta_j) % mod, mod)))
-            self.records.append((eta, beta, c))
+            return self._pair(eta, _over_T(beta, mod), ring)
+        assert rec.delta_scalar is not None
+        c = rec.delta_scalar % mod
         gs = [np.zeros((0, ring.rank), dtype=np.int64)]
-        for e, q in new:
-            gs.append(self._pair(e, q, ring))
-            E, Q = self.functionals
-            self.functionals = (np.vstack([E, e]), np.vstack([Q, q]))
+        for eta_j, beta_j, c_j in self.records:
+            if c_j == 0 and c == 0:
+                continue
+            s = min((x & -x).bit_length() - 1 for x in (c_j, c) if x)
+            a, b = c_j >> s, c >> s
+            gs.append(self._pair(_over_T((a * eta - b * eta_j) % mod, mod),
+                                 _over_T((a * beta - b * beta_j) % mod, mod), ring))
+        self.records.append((eta, beta, c))
         return np.vstack(gs)
 
     def _pair(self, e: Vec, q: Vec, ring: RingSpec) -> np.ndarray:
+        """Pair the functional (e, q) with every registered one, then
+        register it."""
         mod = ring.modulus
         E, Q = self.functionals
         if ring.rank == self.spec.rank:
-            return from_X_coeffs((E @ _circulant(q) - Q @ _circulant(e)) % mod, ring)
-        if ring is not self._ring:
+            if len(E):
+                g = from_X_coeffs((E @ _circulant(q) - Q @ _circulant(e)) % mod, ring)
+            else:       # a level's first functional: nothing to pair with
+                g = np.zeros((0, ring.rank), dtype=np.int64)
+        else:
+            if self._xpow is None:
+                self._xpow = power_table(from_coeffs((1, 1), ring), len(e), ring)
+                E, Q = E @ self._xpow % mod, Q @ self._xpow % mod
+            elif ring is not self._ring:
+                self._xpow, E, Q = (reduce_poly(x, ring) for x in (self._xpow, E, Q))
             self._ring = ring
-            self._xpow = power_table(from_coeffs((1, 1), ring), len(e), ring)
-            self._reduced = (E @ self._xpow % mod, Q @ self._xpow % mod)
-        e, q = e @ self._xpow % mod, q @ self._xpow % mod
-        RE, RQ = self._reduced
-        self._reduced = (np.vstack([RE, e]), np.vstack([RQ, q]))
-        return (RE @ mul_matrix(q, ring) - RQ @ mul_matrix(e, ring)) % mod
+            e, q = e @ self._xpow % mod, q @ self._xpow % mod
+            g = (E @ mul_matrix(q, ring) - Q @ mul_matrix(e, ring)) % mod
+        self.functionals = (np.vstack([E, e]), np.vstack([Q, q]))
+        return g
 
 
 def run_level(f: int, n: int, config: RunConfig,

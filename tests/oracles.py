@@ -84,6 +84,22 @@ def legendre(a: int, p: int) -> int:
     return 1 if v == 1 else -1
 
 
+def jacobi(b: int, a: int) -> int:
+    """Jacobi symbol (b|a) for odd positive a, by reciprocity."""
+    b %= a
+    t = 1
+    while b:
+        while b % 2 == 0:
+            b //= 2
+            if a % 8 in (3, 5):
+                t = -t
+        a, b = b, a
+        if a % 4 == 3 and b % 4 == 3:
+            t = -t
+        b %= a
+    return t if a == 1 else 0
+
+
 def kronecker_oracle(D: int, a: int) -> int:
     """(D|a) assembled from Euler's criterion over the factorization of a."""
     if a == 0:

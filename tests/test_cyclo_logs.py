@@ -585,8 +585,10 @@ _DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668
 @st.composite
 def _token(draw):
     """A coefficient token int() may or may not read: signed, with an
-    underscore or two anywhere, leading zeros, other digit sets, and values
-    far beyond int64."""
+    underscore or two anywhere, leading zeros, other digit sets, values
+    far beyond int64, or a lone sign."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from(["+", "-"]))
     beyond = draw(st.integers(0, 7)) == 0
     value = draw(st.integers(1 << 63, 1 << 80) if beyond
                  else st.integers(0, 3) | st.integers(0, (1 << 63) - 1))
@@ -611,7 +613,40 @@ def _near_valid_line(draw):
     return f"21 1 22777 | {tokens[0]} {tokens[1]} | {tokens[2]} {tokens[3]} | -", tokens
 
 
+def _in_int64(tokens) -> bool:
+    """False when int(), reading the tokens in order, meets a value beyond
+    int64 before a token it cannot read."""
+    try:
+        return all(-(1 << 63) <= int(t) < 1 << 63 for t in tokens)
+    except ValueError:
+        return True
+
+
 class TestCacheParserDifferential:
+    # each field that the one-pass read hands back to one int() per token:
+    # int64's maximum (fromstring's saturation value), 2^63 and a 20-digit
+    # token past int64, trailing data, digits int() reads and fromstring
+    # does not, an underscore, and lone signs, which fromstring reads as 0
+    @pytest.mark.parametrize("eta", [
+        "9223372036854775807 1", "9223372036854775808 1", "99999999999999999999 1",
+        "00000000000000000003 1", "1 2 x", "\u0661 \u0663", "1_0 1",
+        "1 -", "- 1", "+ 1", "1 +",
+    ])
+    def test_fallback_triggers(self, eta):
+        line = f"21 1 22777 | {eta} | 1 3 | -"
+        with tempfile.TemporaryDirectory() as d:
+            path = cache_path(d, 21, 1)
+            path.write_text(f"# {CACHE_VERSION}\n{line}\n")
+            got = load_records(d, 21, 1)
+            want = load_records_per_token(d, 21, 1)
+        if _in_int64(eta.split()):
+            assert got == want
+        else:
+            # past int64 the line is corrupt, where the per-token read loads it
+            with pytest.raises(OverflowError) as exc:
+                np.array(eta.split(), dtype=np.int64)
+            assert got == ({}, [f"{path}:2: corrupt cache line skipped ({exc.value})"])
+
     @given(_near_valid_line())
     @settings(max_examples=300, deadline=None)
     def test_array_parser_matches_per_token_parser(self, case):
@@ -626,11 +661,7 @@ class TestCacheParserDifferential:
         assert len(got) + len(warnings) == 1
         if got:
             assert got == want
-        try:
-            in_int64 = all(-(1 << 63) <= int(t) < 1 << 63 for t in tokens)
-        except ValueError:
-            in_int64 = True
-        if in_int64:
+        if _in_int64(tokens):
             assert (got, len(warnings)) == (want, len(want_warnings))
         else:
             assert warnings and "corrupt" in warnings[0]

@@ -320,10 +320,16 @@ class TestResidueKernels:
         for shape in ((700,), (3, 5), (2, 1100)):
             base = np.array([rng.randrange(r) for _ in range(int(np.prod(shape)))])
             base = residue_vec(base.reshape(shape), r)
-            for e in (0, 1, 2, 1 << 20, (r - 1) >> ctx.k, rng.randrange(r)):
+            # the accumulator starts at e's lowest set bit: e = 0, a single
+            # bit at every position, and exponents with bits above it
+            for e in (0, 1, *(1 << j for j in range(1, 21)), 3, (r - 1) >> ctx.k,
+                      rng.randrange(r)):
                 want = [[pow(x, e, r) for x in row] for row in base.reshape(-1, shape[-1]).tolist()]
                 got = pow_vec(base, e, r)
                 assert got.shape == shape and got.reshape(-1, shape[-1]).tolist() == want, e
+                assert got.dtype == base.dtype and not np.shares_memory(got, base), e
+            # signed entries in (-r, 0] come back reduced
+            assert pow_vec(base - r, 1, r).tolist() == base.tolist()
 
     def test_power_table(self, arithmetic_branch):
         r, g = 45553, 12345

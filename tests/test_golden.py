@@ -32,6 +32,14 @@ def test_certificate(argv, name, capsys, monkeypatch):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+def test_certificate_from_cache_949(tmp_path, capsys):
+    # the first run computes and stores the records, the second reads them
+    argv = ["verify", "--f", "949", "--format", "json", "--cache-dir", str(tmp_path)]
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify_949.json").read_text()
+
+
 def _check_cache_files(f, levels, tmp_path):
     # verify --f F --cache-dir DIR writes one file per level
     assert main(["verify", "--f", str(f), "--cache-dir", str(tmp_path)]) == 0

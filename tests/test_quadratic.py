@@ -4,33 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenberg.quadratic import (GATE_RUN_NONSPLIT, GATE_RUN_SPLIT, GATE_TRIVIAL, _jacobi,
+from greenberg.quadratic import (GATE_RUN_NONSPLIT, GATE_RUN_SPLIT, GATE_TRIVIAL,
                                  character_kernel, class_number, is_squarefree,
                                  reduced_forms)
-from oracles import analytic_class_number, kronecker_oracle, legendre, unit_norm_oracle
+from oracles import analytic_class_number, jacobi, kronecker_oracle, legendre, unit_norm_oracle
 
 odd = st.integers(0, 100).map(lambda x: 2 * x + 1)
 
 
 class TestKronecker:
-    """The Jacobi symbol (D|a) on odd moduli a is the Kronecker symbol
-    there; the character kernel relies on it through reciprocity."""
+    """The Jacobi symbol oracle (D|a) on odd moduli a is the Kronecker
+    symbol there; by reciprocity it is the character the kernel is checked
+    against."""
 
     def test_examples(self):
-        assert _jacobi(2, 3) == -1             # 2 is not a square mod 3
-        assert _jacobi(4, 5) == 1
-        assert _jacobi(949, 7) == kronecker_oracle(949, 7)
-        assert _jacobi(6, 15) == 0             # not prime to the modulus
+        assert jacobi(2, 3) == -1              # 2 is not a square mod 3
+        assert jacobi(4, 5) == 1
+        assert jacobi(949, 7) == kronecker_oracle(949, 7)
+        assert jacobi(6, 15) == 0              # not prime to the modulus
 
     def test_against_oracle(self):
         for D in (-15, -8, -4, -3, 5, 8, 12, 13, 949, -949, 6817):
             for a in range(1, 60, 2):
-                assert _jacobi(D, a) == kronecker_oracle(D, a), (D, a)
+                assert jacobi(D, a) == kronecker_oracle(D, a), (D, a)
 
     @given(st.integers(-300, 300), odd, odd)
     @settings(max_examples=300, deadline=None)
     def test_multiplicative(self, D, a, b):
-        assert _jacobi(D, a * b) == _jacobi(D, a) * _jacobi(D, b)
+        assert jacobi(D, a * b) == jacobi(D, a) * jacobi(D, b)
 
     @given(st.integers(-80, 80), st.integers(1, 100))
     @settings(max_examples=300, deadline=None)
@@ -38,13 +39,13 @@ class TestKronecker:
         # for D = 1 mod 4 the character a -> (D|a) has period |D| and is
         # (a||D|) by reciprocity, even a included
         if D % 4 == 1:
-            assert _jacobi(a, abs(D)) == kronecker_oracle(D, a) \
+            assert jacobi(a, abs(D)) == kronecker_oracle(D, a) \
                 == kronecker_oracle(D, a + abs(D))
 
     def test_euler_criterion(self):
         for p in (3, 5, 7, 11, 13, 22777):
             for D in (5, 949, -949, 6817):
-                assert _jacobi(D, p) == legendre(D, p)
+                assert jacobi(D, p) == legendre(D, p)
 
 
 class TestCharacterKernel:
@@ -97,6 +98,13 @@ class TestCharacterKernel:
             disc = f if f % 4 == 1 else -f
             want = tuple(a for a in range(1, f) if kronecker_oracle(disc, a) == 1)
             assert character_kernel(f).residues == want, f
+
+    @pytest.mark.parametrize("f", [1605, 6817, 8045, 9997])
+    def test_against_jacobi_oracle(self, f):
+        # the slow rows 1605 and 8045, the split 6817, and 9997, the
+        # largest odd squarefree radicand below 10000
+        want = tuple(a for a in range(1, f) if jacobi(a, f) == 1)
+        assert character_kernel(f).residues == want
 
     def test_set_cache_keeps_equality_and_pickling(self):
         import pickle

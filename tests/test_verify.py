@@ -3,7 +3,7 @@ import pytest
 
 from greenberg.cyclo_logs import PrimeLogRecord, compute_record, find_split_primes, get_records
 from greenberg.group_ring import (HowellIdeal, RingSpec, divided_spec, from_coeffs, full_spec,
-                                  scalar, to_T_basis)
+                                  power_table, scalar, to_T_basis)
 from greenberg.quadratic import character_kernel, class_number
 from greenberg.verify import PairAccumulator, RunConfig, check_termination, run_level, verify
 from oracles import contains_ideal, full_rank_pair_functionals, mutual_membership, to_X_basis
@@ -77,6 +77,37 @@ class TestRunLevelAgainstFullRankPairs:
             ideal = grown
         assert level.ideal == ideal
         assert level.stabilized_after == noops
+
+
+class TestCarriedPairingTable:
+    """The (T+1)^i table is built once, when M first drops; at each later
+    change of M the table and the E and Q stacks held in the ring are
+    reduced modulo the new M.  After every prime they stay congruent mod J
+    to a fresh rebuild in the current ring from the X-basis functionals."""
+
+    # (1605, 6): M drops to degree 6, then 3, then 2; (6817, 4), divided:
+    # 11, then 7, then two rings of degree 4
+    @pytest.mark.parametrize("f, n", [(1605, 6), (6817, 4)])
+    def test_congruent_to_rebuild(self, f, n):
+        spec = divided_spec(n) if f % 8 == 1 else full_spec(n)
+        records = get_records(f, n, find_split_primes(f, n, 15), character_kernel(f))
+        # paired in the full ring, the reference keeps its functionals in the X-basis
+        pairs, xbasis = PairAccumulator(spec), PairAccumulator(spec)
+        ideal, rings = HowellIdeal.empty(spec), []
+        for rec in records:
+            ring = ideal.ring
+            gs = pairs.add_prime(rec, ring)
+            xbasis.add_prime(rec, spec)
+            if pairs._xpow is not None:
+                if not rings or rings[-1] is not ring:
+                    rings.append(ring)
+                fresh = power_table(from_coeffs((1, 1), ring), 1 << n, ring)
+                rebuilt = [fresh] + [x @ fresh % ring.modulus for x in xbasis.functionals]
+                for carried, want in zip((pairs._xpow, *pairs.functionals), rebuilt):
+                    assert not ideal.reduce_vec(carried - want).any(), rec.r
+            for g in gs:
+                ideal = ideal.insert(g)
+        assert len(rings) >= 3, "the table was carried over fewer than two ring changes"
 
 
 class TestPairFunctionalsSplit:
