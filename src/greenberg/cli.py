@@ -22,9 +22,9 @@ from pathlib import Path
 
 from greenberg.cyclo_logs import compute_record, load_records
 from greenberg.finite_field import factorize
-from greenberg.group_ring import MAX_LEVEL, canonical_generators, poly_str
+from greenberg.group_ring import MAX_LEVEL, ReportedIdeal, canonical_generators, poly_str
 from greenberg.quadratic import character_kernel, is_squarefree
-from greenberg.verify import RunConfig, VerificationReport, verify
+from greenberg.verify import LevelResult, RunConfig, VerificationReport, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,6 +120,15 @@ def _gens_strings(rep: VerificationReport) -> list[str]:
     return [poly_str(g) for g in rep.reported.generators]
 
 
+def _level_generators(rep: VerificationReport, lv: LevelResult) -> ReportedIdeal:
+    """Canonical generators of one level's ideal.  The terminating level's
+    are the report's own, which ``verify`` built and checked; every other
+    level's are built, and checked, here."""
+    if lv.n == rep.m:
+        return rep.reported
+    return canonical_generators(lv.ideal)
+
+
 def report_markdown(rep: VerificationReport) -> str:
     out = io.StringIO()
     info = rep.info
@@ -150,7 +159,7 @@ def report_markdown(rep: VerificationReport) -> str:
     print("| n | J_n | log2 index | primes | tail no-ops | time (s) |", file=out)
     print("|---|-----|------------|--------|-------------|----------|", file=out)
     for lv in rep.levels:
-        gens = canonical_generators(lv.ideal)
+        gens = _level_generators(rep, lv)
         print(f"| {lv.n} | {gens} | {lv.log2_index} | {len(lv.primes_used)} "
               f"| {lv.stabilized_after} | {lv.seconds:.2f} |", file=out)
     return out.getvalue()
@@ -202,7 +211,7 @@ def report_dict(rep: VerificationReport) -> dict:
                 "log2_index": lv.log2_index,
                 "primes_used": list(lv.primes_used),
                 "stabilized_after": lv.stabilized_after,
-                "generators": [poly_str(g) for g in canonical_generators(lv.ideal).generators],
+                "generators": [poly_str(g) for g in _level_generators(rep, lv).generators],
                 "howell": {
                     "spec": {"d": lv.ideal.spec.d, "n": lv.ideal.spec.n,
                              "divided": lv.ideal.spec.divided},

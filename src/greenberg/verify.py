@@ -26,11 +26,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from greenberg.cyclo_logs import (PrimeLogRecord, default_cache_dir, find_split_primes,
                                   get_records, iter_records)
-# poly_mul_mod is unused here but stays bound: bench/tracer.py wraps every
-# name it traces at the modules that import it
-from greenberg.group_ring import (MAX_LEVEL, HowellIdeal, ReportedIdeal, RingSpec,  # noqa: F401
-                                  Vec, canonical_generators, divided_spec, from_coeffs,
-                                  from_X_coeffs, full_spec, mul_matrix, norm_element,
+from greenberg.group_ring import (MAX_LEVEL, HowellIdeal, ReportedIdeal, RingSpec, Vec,
+                                  canonical_generators, divided_spec, from_coeffs,
+                                  from_X_coeffs, full_spec, mul_matrix, norm_element, one,
                                   poly_mul_mod, power_table, reduce_poly, scalar)
 from greenberg.quadratic import (GATE_TRIVIAL, KernelSet, QuadFieldInfo, character_kernel,
                                  class_number)
@@ -288,10 +286,15 @@ def _n0_sweep(ideal: HowellIdeal) -> int:
     Membership stabilizes: inside the quotient the norm element of level
     n + d is 2^d times that of level n, hence zero, so the sweep terminates.
     """
-    spec = ideal.spec
+    spec, ring = ideal.spec, ideal.ring
+    # the norm element of level t is prod_{j<t} (1 + (T+1)^(2^j)): each step
+    # multiplies in one factor, as norm_element builds it
+    norm, sq = one(ring), from_coeffs((1, 1), ring)
     for t in range(0, spec.n + spec.d + 1):
-        if ideal.contains(norm_element(t, ideal.ring)):
+        if ideal.contains(norm):
             return t
+        norm = poly_mul_mod(norm, (sq + one(ring)) % ring.modulus, ring)
+        sq = poly_mul_mod(sq, sq, ring)
     raise AssertionError("norm-element sweep failed to terminate")
 
 

@@ -51,3 +51,12 @@ def _runnable(limit):
 @pytest.fixture(scope="session")
 def runnable_radicands():
     return _runnable(90)
+
+
+@pytest.fixture(scope="session")
+def published_reports():
+    """verify() reports of the published rows every level of which the
+    tests walk: 323 (3 mod 4), 949 (5 mod 8), 1605 (ten levels) and 6817
+    (split, the divided presentation)."""
+    from greenberg.verify import verify
+    return {f: verify(f) for f in (323, 949, 1605, 6817)}

@@ -6,9 +6,11 @@ the fewest the input's size needs, Euler's criterion over the
 factorization of a vs the binary Jacobi algorithm with reciprocity, the
 analytic class number formula vs form-cycle counting, explicit fundamental
 units vs the principal form cycle, exhaustive module
-enumeration vs Howell reduction, the full-rank Howell engine vs the ideal
-engine that works modulo the lowest monic element, full-rank T-basis pair
-functionals vs the pairing modulo that element in the X-basis, the
+enumeration vs Howell reduction, the series division vs the shortcut for
+an already monic element in Weierstrass preparation, the full-rank Howell
+engine vs the ideal engine that works modulo the lowest monic element,
+full-rank T-basis pair functionals vs the pairing modulo that element in
+the X-basis, the
 cyclotomic-norm square identity vs the eta product formula, the
 conjugate-by-conjugate F_{r^2} kernel product vs the F_r product vectorized
 over conjugates, the F_{r^2} candidate sweep vs the sweep over norms in F_r,
@@ -35,8 +37,8 @@ import numpy as np
 from greenberg.cyclo_logs import CACHE_VERSION, PrimeLogRecord, cache_path
 from greenberg.finite_field import (FieldContext, dlog_two_power_vec, factorize, is_prime,
                                     mulmod_vec, power_table, smallest_nonresidue)
-from greenberg.group_ring import (HowellIdeal, RingSpec, Vec, from_coeffs, howell_form,
-                                  norm_element, poly_mul_mod, t_shift)
+from greenberg.group_ring import (HowellIdeal, RingSpec, Vec, _series_inverse, from_coeffs,
+                                  howell_form, norm_element, poly_mul_mod, t_shift)
 from greenberg.quadratic import KernelSet
 
 
@@ -316,6 +318,33 @@ class FullRankIdeal:
         spec = self.spec
         return next(t for t in range(spec.n + spec.d + 1)
                     if self.contains(norm_element(t, spec)))
+
+
+def weierstrass_polynomial_series(r: Vec, d: int) -> Vec:
+    """The monic P of degree v with (P) = (r) in Z/2^d[[T]], v the lowest
+    degree of an odd coefficient of r, always by the series division (the
+    production :func:`greenberg.group_ring.weierstrass_polynomial` returns
+    an r that is already monic of degree v as it is)."""
+    mod = 1 << d
+    r = np.asarray(r, dtype=np.int64) % mod
+    v = int(np.flatnonzero(r & 1)[0])
+    if v == 0:
+        return np.ones(1, dtype=np.int64)
+    k = (d + 2) * v
+    u = np.zeros(k, dtype=np.int64)
+    top = r[v:v + k]
+    u[:len(top)] = top
+    c = np.convolve(_series_inverse(u, k, mod), r[:v])[:k] % mod   # U^-1 alpha
+    h = np.zeros(k, dtype=np.int64)
+    h[v] = 1
+    for _ in range(d + 1):
+        if not h[v:].any():
+            break
+        prod = np.convolve(h[v:], c)[:k]
+        h[v:] = 0
+        h[:len(prod)] = (h[:len(prod)] - prod) % mod
+    assert not h[v:].any(), "Weierstrass division failed to converge"
+    return np.append(-h[:v] % mod, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,16 @@ import csv
 import importlib
 import io
 import json
+import pickle
 from concurrent.futures import Future
+from pathlib import Path
 
-from greenberg.cli import main
+import pytest
+
+from greenberg.cli import main, report_markdown, reports_json
 from greenberg.group_ring import HowellIdeal, RingSpec, canonical_generators, poly_str
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -120,6 +126,36 @@ class TestFormats:
         assert by_f[85]["criterion"] == "cardinality"
         assert by_f[85]["mod8_class"] == "5"
         assert int(by_f[85]["n0"]) == 2 and int(by_f[85]["log2_index"]) == 2
+
+
+class TestPickledReports:
+    """A report renders the same after a pickle round trip (the benchmark's
+    render-only processes render unpickled reports)."""
+
+    @pytest.mark.parametrize("f", [1605, 6817])
+    def test_render_after_round_trip(self, f, published_reports):
+        rep = published_reports[f]
+        again = pickle.loads(pickle.dumps(rep))
+        assert report_markdown(again) == report_markdown(rep)
+        assert reports_json([again]) == (GOLDEN / f"verify_{f}.json").read_text()
+
+    def test_terminating_level_is_not_regenerated(self, published_reports, monkeypatch):
+        # the terminating level's generators are the report's own; every
+        # other level is regenerated once per format
+        regenerate = HowellIdeal.from_generators.__func__
+        calls = []
+
+        def counted(cls, spec, gens):
+            calls.append(spec)
+            return regenerate(cls, spec, gens)
+
+        monkeypatch.setattr(HowellIdeal, "from_generators", classmethod(counted))
+        for f, rep in published_reports.items():
+            again = pickle.loads(pickle.dumps(rep))
+            calls.clear()
+            report_markdown(again)
+            reports_json([again])
+            assert len(calls) == 2 * (len(rep.levels) - 1), f
 
 
 class TestTableCommand:

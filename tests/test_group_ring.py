@@ -3,13 +3,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greenberg.group_ring import (HowellIdeal, RingSpec, canonical_generators, divided_spec,
-                                  from_coeffs, full_spec, howell_form, norm_element, one,
-                                  poly_mul_mod, poly_str, scalar, t_shift, to_T_basis,
-                                  weierstrass_polynomial, zero)
-from greenberg.verify import _n0_sweep
+from greenberg import group_ring
+from greenberg.group_ring import (_INT_HOWELL_MAX_RANK, HowellIdeal, RingSpec,
+                                  _howell_form_ints, _howell_form_numpy, canonical_generators,
+                                  divided_spec, from_coeffs, full_spec, howell_form,
+                                  norm_element, one, poly_mul_mod, poly_str, scalar, t_shift,
+                                  to_T_basis, weierstrass_polynomial, zero)
+from greenberg.verify import RunConfig, _n0_sweep, run_level
 from oracles import (FullRankIdeal, contains_ideal, divide_by_aug, enumerate_span,
-                     mutual_membership, parse_poly, to_T_basis_horner, to_X_basis)
+                     mutual_membership, parse_poly, to_T_basis_horner, to_X_basis,
+                     weierstrass_polynomial_series)
 
 
 def _shift_closure(spec, gens):
@@ -332,6 +335,91 @@ class TestAgainstFullRankOracle:
         assert not (P[:-1] & 1).any()
         assert FullRankIdeal.from_generators(spec, [r]).contains(from_coeffs(P, spec))
         assert FullRankIdeal.from_generators(spec, [P]).contains(r)
+
+
+def _valued(d: int):
+    """Coefficients in [0, 2^d) with random 2-valuations (zero included)."""
+    return st.builds(lambda c, s: (c << s) % (1 << d),
+                     st.integers(0, (1 << d) - 1), st.integers(0, d))
+
+
+class TestHowellPaths:
+    """howell_form runs small ranks on Python ints and larger ones on
+    numpy; the two take the same steps."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_int_path_matches_numpy(self, data):
+        d = data.draw(st.integers(1, 12))
+        rank = data.draw(st.integers(1, _INT_HOWELL_MAX_RANK + 2))
+        row = st.one_of(st.just([0] * rank),
+                        st.lists(_valued(d), min_size=rank, max_size=rank))
+        G = np.array(data.draw(st.lists(row, max_size=2 * rank)),
+                     dtype=np.int64).reshape(-1, rank)
+        rows, pivots = _howell_form_ints(G.tolist(), d, rank)
+        np_rows, np_pivots = _howell_form_numpy(G, d, rank)
+        assert pivots == np_pivots
+        assert rows.shape == np_rows.shape and np.array_equal(rows, np_rows)
+
+    def test_rank_127_stack_runs_on_numpy(self, monkeypatch):
+        # f = 6817, level 7: an even insertion before M drops, at the
+        # divided rank 127
+        seen = []
+        for name in ("_howell_form_ints", "_howell_form_numpy"):
+            def traced(G, d, rank, _fn=getattr(group_ring, name), _name=name):
+                seen.append((_name, rank))
+                return _fn(G, d, rank)
+            monkeypatch.setattr(group_ring, name, traced)
+        run_level(6817, 7, RunConfig())
+        assert ("_howell_form_numpy", 127) in seen
+        assert all((name == "_howell_form_ints") == (rank <= _INT_HOWELL_MAX_RANK)
+                   for name, rank in seen)
+
+
+class TestRegenerationCheck:
+    """canonical_generators checks itself by regenerating the ideal in the
+    quotient ring.  The set is minimal in Z_2[T], but the quotient adds 2^d
+    and the relation: a generator they and the others generate (2^d
+    always, others at low levels) can be dropped unseen; any other cannot."""
+
+    @pytest.mark.parametrize("f", [1605, 6817])
+    def test_dropping_a_generator_is_seen_unless_redundant(self, f, published_reports):
+        for lv in published_reports[f].levels:
+            spec, gens = lv.ideal.spec, canonical_generators(lv.ideal).generators
+            assert HowellIdeal.from_generators(spec, gens) == lv.ideal
+            for i, g in enumerate(gens):
+                fewer = gens[:i] + gens[i + 1:]
+                regen = HowellIdeal.from_generators(spec, fewer)
+                redundant = regen.contains(np.array(g, dtype=np.int64))
+                assert (regen == lv.ideal) == redundant, (f, lv.n, g)
+                assert redundant or g != (spec.modulus,)
+                if spec.rank <= 64:
+                    oracle = FullRankIdeal.from_generators(spec, fewer)
+                    assert oracle.contains(from_coeffs(g, spec)) == redundant, (f, lv.n, g)
+
+    def test_check_fires_on_a_missing_generator(self, published_reports, monkeypatch):
+        # regenerate without M, the last generator: the ring keeps rank 2^n
+        regenerate = HowellIdeal.from_generators.__func__
+        monkeypatch.setattr(HowellIdeal, "from_generators",
+                            classmethod(lambda cls, spec, gens: regenerate(cls, spec, gens[:-1])))
+        with pytest.raises(AssertionError, match="failed to regenerate"):
+            canonical_generators(published_reports[1605].levels[-1].ideal)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_weierstrass_matches_series_division(self, data):
+        d = data.draw(st.integers(1, 12))
+        length = data.draw(st.integers(1, 12))
+        r = np.array(data.draw(st.lists(_valued(d), min_size=length, max_size=length)),
+                     dtype=np.int64)
+        v = data.draw(st.integers(0, length - 1))
+        if data.draw(st.booleans()):
+            # distinguished: even below v, 1 at v, nothing above
+            r[:v] &= ~1
+            r[v], r[v + 1:] = 1, 0
+        else:
+            r[v] |= 1
+        assert np.array_equal(weierstrass_polynomial(r, d), weierstrass_polynomial_series(r, d))
 
 
 class TestPolyText:

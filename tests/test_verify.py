@@ -3,7 +3,7 @@ import pytest
 
 from greenberg.cyclo_logs import PrimeLogRecord, compute_record, find_split_primes, get_records
 from greenberg.group_ring import (HowellIdeal, RingSpec, divided_spec, from_coeffs, full_spec,
-                                  power_table, scalar, to_T_basis)
+                                  norm_element, power_table, scalar, to_T_basis)
 from greenberg.quadratic import character_kernel, class_number
 from greenberg.verify import PairAccumulator, RunConfig, check_termination, run_level, verify
 from oracles import contains_ideal, full_rank_pair_functionals, mutual_membership, to_X_basis
@@ -255,6 +255,16 @@ class TestVerify:
         ideal = HowellIdeal.from_generators(spec, [(2,), (0, 0, 1)])
         assert _n0_sweep(ideal) == 2
         assert _n0_sweep(HowellIdeal.from_generators(spec, [(1,)])) == 0
+
+    @pytest.mark.parametrize("f", [323, 949, 1605, 6817])
+    def test_n0_sweep_is_the_least_member_level(self, f, published_reports):
+        # the sweep carries the norm element from one level to the next
+        from greenberg.verify import _n0_sweep
+        for lv in published_reports[f].levels:
+            ideal = lv.ideal
+            direct = next(t for t in range(ideal.spec.n + ideal.spec.d + 1)
+                          if ideal.contains(norm_element(t, ideal.ring)))
+            assert _n0_sweep(ideal) == direct, (f, lv.n)
 
     def test_adaptive_matches_fixed(self):
         fixed = verify(85, RunConfig(primes=15))
