@@ -187,6 +187,17 @@ def reports_csv(reps: list[VerificationReport]) -> str:
     return out.getvalue()
 
 
+def _howell_block(lv: LevelResult) -> dict:
+    """A level's ideal for auditing: its spec, M, and the Howell rows of
+    J/(M) (rank 2^n ones, derived, while J has no lower monic element)."""
+    spec = lv.ideal.spec
+    rows, pivots = lv.ideal.howell_rows()
+    return {"spec": {"d": spec.d, "n": spec.n, "divided": spec.divided},
+            "relation": [int(x) for x in lv.ideal.ring.relation],
+            "pivots": [list(p) for p in pivots],
+            "rows": rows.tolist()}
+
+
 def report_dict(rep: VerificationReport) -> dict:
     info = rep.info
     d = {
@@ -212,13 +223,7 @@ def report_dict(rep: VerificationReport) -> dict:
                 "primes_used": list(lv.primes_used),
                 "stabilized_after": lv.stabilized_after,
                 "generators": [poly_str(g) for g in _level_generators(rep, lv).generators],
-                "howell": {
-                    "spec": {"d": lv.ideal.spec.d, "n": lv.ideal.spec.n,
-                             "divided": lv.ideal.spec.divided},
-                    "relation": [int(x) for x in lv.ideal.ring.relation],
-                    "pivots": [list(p) for p in lv.ideal.pivots],
-                    "rows": [[int(x) for x in row] for row in lv.ideal.rows],
-                },
+                "howell": _howell_block(lv),
             }
             for lv in rep.levels
         ],

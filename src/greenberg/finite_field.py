@@ -261,7 +261,8 @@ def dlog_two_power_vec(u: np.ndarray, ctx: FieldContext) -> np.ndarray:
     v = pow_vec(u, (r - 1) >> k, r)
     ranked, order = ctx.zeta_2k_sorted
     pos = np.minimum(np.searchsorted(ranked, v), len(ranked) - 1)
-    assert (ranked[pos] == v).all(), "element outside the order-2^k subgroup"
+    if not (ranked[pos] == v).all():
+        raise AssertionError("element outside the order-2^k subgroup")
     return order[pos]
 
 

@@ -13,9 +13,12 @@ Two quotient presentations occur:
 Both relations are T^rank mod 2, so T is nilpotent in the ring and
 Weierstrass preparation applies: an element whose lowest odd coefficient
 sits at degree v generates the same ideal as a monic polynomial of degree v.
-An ideal of finite index therefore contains a monic element of small degree,
-and :class:`HowellIdeal` works modulo the lowest one (rank 2-6 on the
-published rows instead of 2^n).
+An ideal with an odd coefficient somewhere therefore contains a monic
+element of small degree, and :class:`HowellIdeal` works modulo the lowest
+one (rank 2-6 on the published rows instead of 2^n).  Any other ideal
+has only even elements and is 2^v K for such a K over Z/2^(d-v), v its
+least 2-valuation (compare Szekeres, "A canonical basis for the ideals of
+a polynomial domain", 1952), so no Howell form runs at rank 2^n.
 
 Ring elements are int64 numpy vectors of T-basis coefficients in [0, 2^d).
 A product sums at most 2^n terms below 2^(2d), exact in int64 while
@@ -241,22 +244,6 @@ def from_X_coeffs(xcoeffs, spec: RingSpec) -> Vec:
 # ---------------------------------------------------------------------------
 # Howell normal form
 
-def _min_val_and_index(vals: np.ndarray) -> tuple[int, int]:
-    low = np.bitwise_and(vals, -vals)
-    combined = int(np.bitwise_or.reduce(low))
-    e = (combined & -combined).bit_length() - 1
-    idx = int(np.argmax(low == (1 << e)))
-    return e, idx
-
-
-# Up to this rank a Howell form runs on Python ints: a numpy pass costs
-# microseconds of overhead per column, however short the rows.  Measured on
-# a 2-core host (Python 3.11, numpy 2.4) on rank + 1 random rows with mixed
-# 2-valuations, ints against numpy: rank 2 15 us / 85 us, rank 24 1.1 ms /
-# 1.5 ms, rank 32 2.2 ms / 2.1 ms, rank 127 92 ms / 32 ms.
-_INT_HOWELL_MAX_RANK = 24
-
-
 def howell_form(rows, d: int, rank: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Canonical Howell form of the span of ``rows`` in (Z/2^d)^rank.
 
@@ -270,25 +257,14 @@ def howell_form(rows, d: int, rank: int) -> tuple[np.ndarray, list[tuple[int, in
     pivot.  The result is the unique canonical basis, independent of
     generator order; rows are returned sorted by ascending pivot degree.
 
-    Ranks up to ``_INT_HOWELL_MAX_RANK`` run on Python ints, larger ones on
-    numpy; both take the same steps and return the same rows.
-    """
-    G = np.asarray(rows, dtype=np.int64).reshape(-1, rank) % (1 << d)
-    if rank <= _INT_HOWELL_MAX_RANK:
-        return _howell_form_ints(G.tolist(), d, rank)
-    return _howell_form_numpy(G, d, rank)
-
-
-def _howell_form_ints(G: list[list[int]], d: int, rank: int
-                      ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """:func:`howell_form` on lists of Python ints in [0, 2^d).
-
-    Once the degree ``col`` is done, every row still active vanishes at
-    degrees >= col, so rows are cut to their lower ``col`` entries and the
-    kept rows padded back to the rank at the end.
+    It runs on Python ints, as ideals are held at rank deg M (at most 15
+    below f = 10000).  Once the degree ``col`` is done, every row still
+    active vanishes at degrees >= col, so rows are cut to their lower
+    ``col`` entries and the kept rows padded back to the rank at the end.
     """
     mod, mask = 1 << d, (1 << d) - 1
-    A = [row for row in G if any(row)]
+    A = [row for row in (np.asarray(rows, dtype=np.int64).reshape(-1, rank) % mod).tolist()
+         if any(row)]
     active = list(range(len(A)))
     res: list[list[int]] = []
     pivots: list[tuple[int, int]] = []
@@ -330,63 +306,6 @@ def _howell_form_ints(G: list[list[int]], d: int, rank: int
     for k, row in enumerate(reversed(res)):
         out[k, :len(row)] = row
     return out, pivots[::-1]
-
-
-def _howell_form_numpy(G: np.ndarray, d: int, rank: int
-                       ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """:func:`howell_form` on an int64 matrix with entries in [0, 2^d)."""
-    mod = 1 << d
-    G = G[G.any(axis=1)]
-    m = G.shape[0]
-    # one annihilator row can appear per pivot, so m + rank slots suffice
-    A = np.zeros((m + rank, rank), dtype=np.int64)
-    A[:m] = G
-    count = m
-    active = list(range(m))
-    res: list[np.ndarray] = []
-    pivots: list[tuple[int, int]] = []
-    for col in range(rank - 1, -1, -1):
-        if not active:
-            break
-        act = np.asarray(active)
-        colvals = A[act, col]
-        nz = colvals != 0
-        if not nz.any():
-            continue
-        sel = act[nz]
-        e, idx = _min_val_and_index(A[sel, col])
-        p = int(sel[idx])
-        unit_inv = pow(int(A[p, col]) >> e, -1, mod)
-        A[p] = A[p] * unit_inv % mod
-        others = sel[sel != p]
-        if len(others):
-            t = A[others, col] >> e
-            A[others] = (A[others] - t[:, None] * A[p][None, :]) % mod
-        res.append(A[p].copy())
-        pivots.append((col, e))
-        # retire the pivot row; keep untouched rows and nonzero remainders
-        touched = set(int(i) for i in sel)
-        active = [i for i in active if i not in touched]
-        active.extend(int(i) for i in others if A[i].any())
-        if e > 0:
-            ann = A[p] * (1 << (d - e)) % mod
-            if ann.any():
-                A[count] = ann
-                active.append(count)
-                count += 1
-    if not res:
-        return np.zeros((0, rank), dtype=np.int64), []
-    R = np.array(res)
-    # reduce every row's entries at the lower pivot degrees (a row's support
-    # sits at degrees <= its pivot, so later passes never disturb earlier ones)
-    for j in range(1, len(pivots)):
-        cj, ej = pivots[j]
-        t = R[:j, cj] >> ej
-        nzr = np.nonzero(t)[0]
-        if len(nzr):
-            R[nzr] = (R[nzr] - t[nzr, None] * R[j][None, :]) % mod
-    order = np.argsort([c for c, _ in pivots])
-    return R[order], [pivots[i] for i in order]
 
 
 def _series_inverse(u: Vec, k: int, mod: int) -> Vec:
@@ -436,7 +355,8 @@ def weierstrass_polynomial(r: Vec, d: int) -> Vec:
         prod = np.convolve(h[v:], c)[:k]
         h[v:] = 0
         h[:len(prod)] = (h[:len(prod)] - prod) % mod
-    assert not h[v:].any(), "Weierstrass division failed to converge"
+    if h[v:].any():
+        raise AssertionError("Weierstrass division failed to converge")
     return np.append(-h[:v] % mod, 1)
 
 
@@ -465,7 +385,7 @@ def _relation_mod(spec: RingSpec, ring: RingSpec) -> Vec:
     x = from_coeffs((1, 1), aux)
     for _ in range(spec.n):
         x = poly_mul_mod(x, x, aux)
-    x[0] = (x[0] - 1) % aux.modulus
+    x = (x - one(aux)) % aux.modulus
     return x[1:] if spec.divided else x
 
 
@@ -474,55 +394,64 @@ class HowellIdeal:
     monic element.
 
     ``ring`` is Z/2^d[T]/(M), for M the lowest-degree monic polynomial in
-    the lift of J to Z/2^d[T]; until J has one below the relation, M is the
-    relation and ``ring`` is ``spec``.  ``rows`` and ``pivots`` are the
-    Howell form of J/(M) in rank deg M, and M's lower part is reduced
-    against them, so the pair is canonical.  No row has a unit pivot: it
-    would be a lower monic element.  By the Howell property the rank-2^n
-    Howell rows of J at degrees below deg M are exactly these rows, and
-    those at degrees >= deg M are the unit-pivot multiples T^j M; so index,
-    membership and generators read off the pair as off the full form.
+    the lift of J to Z/2^d[T], and ``rows`` and ``pivots`` are the Howell
+    form of J/(M) in rank deg M, with M's lower part reduced against them,
+    so the pair is canonical.  No row has a unit pivot: it would be a lower
+    monic element.  By the Howell property the rank-2^n Howell rows of J
+    at degrees below deg M are exactly these rows, and those at degrees
+    >= deg M are the unit-pivot multiples T^j M; so index, membership and
+    generators read off the pair as off the full form.
+
+    Until J has a monic element below the relation (M is the relation,
+    reduced modulo J), it has no odd coefficient anywhere, and J = 2^v K:
+    ``v`` >= 1 is the least 2-valuation in J (0 once M drops) and ``K``
+    the ideal over Z/2^(d-v), held as above, of the x with 2^v x in J
+    (None for the zero ideal, v = d); ``rows`` and ``pivots`` are None.
 
     Immutable by convention: ``insert`` returns a new ideal (or ``self``
     when the element was already a member, the cheap and common path).
     """
 
-    __slots__ = ("spec", "ring", "rows", "pivots")
+    __slots__ = ("spec", "ring", "rows", "pivots", "v", "K")
 
-    def __init__(self, spec: RingSpec, ring: RingSpec, rows: np.ndarray,
-                 pivots: list[tuple[int, int]]):
-        self.spec = spec
-        self.ring = ring
-        self.rows = rows
-        self.pivots = pivots
+    def __init__(self, spec: RingSpec, ring: RingSpec, rows: np.ndarray | None = None,
+                 pivots: list[tuple[int, int]] | None = None, v: int = 0,
+                 K: "HowellIdeal | None" = None):
+        self.spec, self.ring, self.rows, self.pivots, self.v, self.K = \
+            spec, ring, rows, pivots, v, K
 
     @classmethod
     def empty(cls, spec: RingSpec) -> "HowellIdeal":
-        return cls(spec, spec, np.zeros((0, spec.rank), dtype=np.int64), [])
+        return cls(spec, spec, v=spec.d)
 
     @classmethod
     def from_generators(cls, spec: RingSpec, gens) -> "HowellIdeal":
         """Ideal generated by coefficient sequences of any degree.  Those with
         an odd coefficient are inserted first, one by one: their Weierstrass
         polynomials drop the rank.  The even ones then leave M as it is and
-        join the rows in one Howell form."""
+        join the rows in one Howell form, or, before M drops, are inserted
+        one by one."""
         vecs = [np.asarray(g, dtype=np.int64) % spec.modulus for g in gens]
-        ideal = cls.empty(spec)
-        for g in vecs:
-            if (g & 1).any():
+        ideal, even = cls.empty(spec), []
+        for g in sorted(vecs, key=lambda g: not (g & 1).any()):     # odd ones first
+            if ideal.v or (g & 1).any():
                 ideal = ideal.insert(g)
-        ring = ideal.ring
-        even = [ideal.reduce_vec(g) for g in vecs if not (g & 1).any()]
-        even = [mul_matrix(r, ring) for r in even if r.any()]
-        if not even:
-            return ideal
-        return ideal._rebuilt(ring, np.vstack([ideal.rows, *even]))
+            elif (r := ideal.reduce_vec(g)).any():
+                even.append(mul_matrix(r, ideal.ring))
+        return ideal._rebuilt(ideal.ring, np.vstack([ideal.rows, *even])) if even else ideal
 
     def reduce_vec(self, v) -> np.ndarray:
         """Canonical remainder of v (any length): reduced modulo M, then
-        against the Howell rows.  A stack of vectors reduces row by row."""
-        return _row_reduce(reduce_poly(v, self.ring), self.rows, self.pivots,
-                           self.ring.modulus)
+        against the Howell rows, or, before M drops, its bits from 2^v up
+        modulo K.  A stack of vectors reduces row by row."""
+        x = reduce_poly(v, self.ring)
+        if not self.v:
+            return _row_reduce(x, self.rows, self.pivots, self.ring.modulus)
+        if self.K is not None:
+            high = self.K.reduce_vec(x >> self.v)
+            x &= (1 << self.v) - 1
+            x[..., :high.shape[-1]] += high << self.v
+        return x
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce_vec(v).any()
@@ -532,53 +461,102 @@ class HowellIdeal:
         r = self.reduce_vec(g)
         if not r.any():
             return self
+        if self.v:
+            return self._insert_undropped(r)
         ring = self.ring
         if (r & 1).any():
             # (r) = (P) for a monic P of degree below deg M: J/(P) is spanned
             # by the old rows and the ideal (M), both read modulo P
             ring = RingSpec(ring.d, ring.n, ring.divided,
                             relation=weierstrass_polynomial(r, ring.d))
-            if not ring.rank:
-                return HowellIdeal(self.spec, ring, np.zeros((0, 0), dtype=np.int64), [])
-            if self.ring.rank == self.spec.rank:
-                # M is the relation less old rows, which are stacked too:
-                # the relation stands in for M, reduced in the small ring
-                m = _relation_mod(self.spec, ring)
-            else:
-                m = reduce_poly(self.ring.relation, ring)
-            rows = reduce_poly(self.rows, ring) if len(self.rows) else self.rows[:, :ring.rank]
-            stack = [rows, mul_matrix(m, ring)]
+            stack = self._read_in(ring)
         else:
             stack = [self.rows, mul_matrix(r, ring)]
         return self._rebuilt(ring, np.vstack(stack))
+
+    def _insert_undropped(self, r: Vec) -> "HowellIdeal":
+        """Insert a non-member remainder r into J = 2^v K.  When 2^v divides
+        r, r/2^v joins K.  Else the least 2-valuation w of r is the new v,
+        and the new K over Z/2^(d-w), J itself at w = 0, is held modulo the
+        Weierstrass polynomial P of r/2^w: it is spanned by 2^(v-w) K and
+        the relation, both read modulo P."""
+        spec, v, K = self.spec, self.v, self.K
+        low = int(np.bitwise_or.reduce(r))
+        w = (low & -low).bit_length() - 1
+        if w >= v:
+            return HowellIdeal(spec, spec, v=v, K=K.insert(r >> v))._relation_reduced()
+        kspec = spec if w == 0 else RingSpec(spec.d - w, spec.n, spec.divided)
+        ring = RingSpec(kspec.d, kspec.n, kspec.divided,
+                        relation=weierstrass_polynomial(r >> w, kspec.d))
+        stack = [mul_matrix(_relation_mod(kspec, ring), ring)]
+        stack += K._read_in(ring, v - w) if K is not None else []
+        new = HowellIdeal.empty(kspec)._rebuilt(ring, np.vstack(stack))
+        return new if w == 0 else HowellIdeal(spec, spec, v=w, K=new)._relation_reduced()
+
+    def _read_in(self, ring: RingSpec, s: int = 0) -> list[np.ndarray]:
+        """Rows spanning 2^s times this ideal read in ``ring``, of lower
+        degree: the rows and the T-shifts of M, reduced modulo its relation."""
+        rows = [reduce_poly(self.rows << s, ring)] if len(self.rows) else []
+        return rows + [mul_matrix(reduce_poly(self.ring.relation << s, ring), ring)]
+
+    def _relation_reduced(self) -> "HowellIdeal":
+        """This ideal with the lower part of its ring's relation reduced
+        modulo it, which makes the ring canonical."""
+        ring = self.ring
+        low = ring.relation[:ring.rank]
+        reduced = self.reduce_vec(low)
+        if np.array_equal(reduced, low):
+            return self
+        ring = RingSpec(ring.d, ring.n, ring.divided, relation=np.append(reduced, 1))
+        return HowellIdeal(self.spec, ring, self.rows, self.pivots, self.v, self.K)
 
     def _rebuilt(self, ring: RingSpec, stack: np.ndarray) -> "HowellIdeal":
         """Howell form of ``stack`` in ``ring``, with M's lower part reduced
         against the rows.
 
         No pivot can be a unit, since every stacked vector is even: the rows
-        are, and so are the shifts of an even r, and M or the relation taken
-        modulo a P of lower degree (all are powers of T mod 2).
+        are, and so are the shifts of an even r, 2^s times an ideal, and M or
+        the relation taken modulo a P of lower degree (all are powers of T
+        mod 2).
         """
+        if not ring.rank:       # a unit was inserted: J is the whole ring
+            return HowellIdeal(self.spec, ring, np.zeros((0, 0), dtype=np.int64), [])
         rows, pivots = howell_form(stack, ring.d, ring.rank)
-        assert all(e for _, e in pivots), "unit pivot below the lowest monic element"
-        low = ring.relation[:ring.rank]
-        reduced = _row_reduce(low, rows, pivots, ring.modulus)
-        if not np.array_equal(reduced, low):
-            ring = RingSpec(ring.d, ring.n, ring.divided, relation=np.append(reduced, 1))
-        return HowellIdeal(self.spec, ring, rows, pivots)
+        if not all(e for _, e in pivots):
+            raise AssertionError("unit pivot below the lowest monic element")
+        return HowellIdeal(self.spec, ring, rows, pivots)._relation_reduced()
+
+    def howell_rows(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Howell rows and pivots of J/(M) in rank deg M.  Before M drops they
+        are derived at the relation's rank: 2^v times K's rows, then for each
+        degree c >= deg M_K the row 2^v (T^c + x), x the remainder of -T^c
+        modulo K, with pivot (c, v)."""
+        if not self.v:
+            return self.rows, self.pivots
+        rank, v, K = self.spec.rank, self.v, self.K
+        if K is None:
+            return np.zeros((0, rank), dtype=np.int64), []
+        m = K.ring.rank
+        rows = np.zeros((len(K.rows) + rank - m, rank), dtype=np.int64)
+        rows[:len(K.rows), :m] = K.rows
+        high = rows[len(K.rows):]
+        high[:, m:] = np.eye(rank - m, dtype=np.int64)
+        high[:, :m] = K.reduce_vec(-high)
+        pivots = [(c, e + v) for c, e in K.pivots] + [(c, v) for c in range(m, rank)]
+        return rows << v, pivots
 
     def log2_index(self) -> int:
         """log2 of the index of the ideal in the quotient ring."""
+        if self.v:
+            return self.v * self.spec.rank + (self.K.log2_index() if self.K else 0)
         pivot_cols = {col for col, _ in self.pivots}
         free = self.ring.rank - len(pivot_cols)
         return free * self.spec.d + sum(e for _, e in self.pivots)
 
     def __eq__(self, other):
         return (isinstance(other, HowellIdeal) and self.spec == other.spec
-                and self.ring == other.ring
-                and self.rows.shape == other.rows.shape
-                and bool(np.array_equal(self.rows, other.rows)))
+                and self.ring == other.ring and (self.v, self.K) == (other.v, other.K)
+                and bool(self.v or np.array_equal(self.rows, other.rows)))
 
     def __repr__(self):
         return (f"HowellIdeal({self.spec}, monic degree {self.ring.rank}, "
@@ -591,7 +569,7 @@ class ReportedIdeal:
 
     ``generators`` are ascending T-coefficient tuples; together with 2^d and
     the relation polynomial they regenerate the Howell ideal they came from
-    (asserted at construction).
+    (checked by :func:`canonical_generators`).
     """
 
     generators: tuple[tuple[int, ...], ...]
@@ -609,9 +587,25 @@ def canonical_generators(ideal: HowellIdeal) -> ReportedIdeal:
     pivot sits there, and M (the reduced relation while J has no lower
     monic element) closes the list.  T-shifts and 2-power multiples of the
     kept rows regenerate all skipped strata, so the list generates;
-    strictness makes it minimal.
+    strictness makes it minimal.  Before M drops the list is 2^v times K's
+    (2^d for the zero ideal), closed by the reduced relation.  The list is
+    checked by regenerating the ideal from it, under ``python -O`` too.
     """
+    reported = ReportedIdeal(generators=tuple(_generators(ideal)),
+                             log2_index=ideal.log2_index())
+    regen = HowellIdeal.from_generators(ideal.spec, reported.generators)
+    if regen != ideal:
+        raise AssertionError("canonical generators failed to regenerate the ideal")
+    return reported
+
+
+def _generators(ideal: HowellIdeal) -> list[tuple[int, ...]]:
+    """The list :func:`canonical_generators` reports, unchecked."""
     spec, ring = ideal.spec, ideal.ring
+    relation = tuple(int(x) for x in ring.relation)
+    if ideal.v:     # 2^v times K's list; the zero ideal is 2^d (1)
+        low = _generators(ideal.K) if ideal.K is not None else [(1,)]
+        return [tuple(c << ideal.v for c in g) for g in low] + [relation]
     pivot_map = {col: (e, row) for (col, e), row in zip(ideal.pivots, ideal.rows)}
     gens: list[tuple[int, ...]] = []
     v_prev = spec.d + 1
@@ -624,11 +618,8 @@ def canonical_generators(ideal: HowellIdeal) -> ReportedIdeal:
         elif col == 0:
             gens.append((spec.modulus,))
             v_prev = spec.d
-    gens.append(tuple(int(x) for x in ring.relation))
-    reported = ReportedIdeal(generators=tuple(gens), log2_index=ideal.log2_index())
-    regen = HowellIdeal.from_generators(spec, reported.generators)
-    assert regen == ideal, "canonical generators failed to regenerate the ideal"
-    return reported
+    gens.append(relation)
+    return gens
 
 
 def _trim(row: np.ndarray) -> tuple[int, ...]:

@@ -115,7 +115,8 @@ def _over_T(v: Vec, mod: int) -> Vec:
     """v/T for an X-basis vector v of augmentation 0 (X = T + 1): then
     v = sum_i v_i (X^i - 1), so coefficient j of v/(X - 1) is the sum of
     v_i over i > j."""
-    assert v.sum() % mod == 0, "only the augmentation ideal divides by T"
+    if v.sum() % mod:
+        raise ValueError("only the augmentation ideal divides by T")
     out = np.zeros_like(v)
     out[:-1] = np.cumsum(v[:0:-1])[::-1] % mod
     return out

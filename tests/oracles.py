@@ -10,7 +10,7 @@ enumeration vs Howell reduction, the series division vs the shortcut for
 an already monic element in Weierstrass preparation, the full-rank Howell
 engine vs the ideal engine that works modulo the lowest monic element,
 full-rank T-basis pair functionals vs the pairing modulo that element in
-the X-basis, the
+the X-basis, a numpy Howell form vs the one on Python ints, the
 cyclotomic-norm square identity vs the eta product formula, the
 conjugate-by-conjugate F_{r^2} kernel product vs the F_r product vectorized
 over conjugates, the F_{r^2} candidate sweep vs the sweep over norms in F_r,
@@ -38,7 +38,7 @@ from greenberg.cyclo_logs import CACHE_VERSION, PrimeLogRecord, cache_path
 from greenberg.finite_field import (FieldContext, dlog_two_power_vec, factorize, is_prime,
                                     mulmod_vec, power_table, smallest_nonresidue)
 from greenberg.group_ring import (HowellIdeal, RingSpec, Vec, _series_inverse, from_coeffs,
-                                  howell_form, norm_element, poly_mul_mod, t_shift)
+                                  norm_element, poly_mul_mod, t_shift)
 from greenberg.quadratic import KernelSet
 
 
@@ -218,7 +218,7 @@ def enumerate_span(rows: list[tuple[int, ...]], d: int, rank: int) -> frozenset:
 
 def contains_ideal(a: HowellIdeal, b: HowellIdeal) -> bool:
     """b inside a: a contains b's monic element M and its Howell rows."""
-    return a.contains(b.ring.relation) and all(a.contains(row) for row in b.rows)
+    return a.contains(b.ring.relation) and all(a.contains(row) for row in b.howell_rows()[0])
 
 
 def mutual_membership(a: HowellIdeal, b: HowellIdeal) -> bool:
@@ -284,8 +284,8 @@ class FullRankIdeal:
         shifts = [rem]
         for _ in range(self.spec.rank - 1):
             shifts.append(t_shift(shifts[-1], self.spec))
-        rows, pivots = howell_form(np.vstack([self.rows] + shifts), self.spec.d,
-                                   self.spec.rank)
+        rows, pivots = howell_form_numpy(np.vstack([self.rows] + shifts), self.spec.d,
+                                         self.spec.rank)
         return FullRankIdeal(self.spec, rows, pivots)
 
     def log2_index(self) -> int:
@@ -318,6 +318,67 @@ class FullRankIdeal:
         spec = self.spec
         return next(t for t in range(spec.n + spec.d + 1)
                     if self.contains(norm_element(t, spec)))
+
+
+def howell_form_numpy(G: np.ndarray, d: int, rank: int
+                      ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """:func:`greenberg.group_ring.howell_form` on an int64 matrix with
+    entries in [0, 2^d): the same steps, one numpy pass per column."""
+    mod = 1 << d
+    G = np.asarray(G, dtype=np.int64).reshape(-1, rank) % mod
+    G = G[G.any(axis=1)]
+    m = G.shape[0]
+    # one annihilator row can appear per pivot, so m + rank slots suffice
+    A = np.zeros((m + rank, rank), dtype=np.int64)
+    A[:m] = G
+    count = m
+    active = list(range(m))
+    res: list[np.ndarray] = []
+    pivots: list[tuple[int, int]] = []
+    for col in range(rank - 1, -1, -1):
+        if not active:
+            break
+        act = np.asarray(active)
+        nz = A[act, col] != 0
+        if not nz.any():
+            continue
+        sel = act[nz]
+        # the first row of least 2-valuation at this degree
+        low = np.bitwise_and(A[sel, col], -A[sel, col])
+        combined = int(np.bitwise_or.reduce(low))
+        e = (combined & -combined).bit_length() - 1
+        p = int(sel[int(np.argmax(low == (1 << e)))])
+        unit_inv = pow(int(A[p, col]) >> e, -1, mod)
+        A[p] = A[p] * unit_inv % mod
+        others = sel[sel != p]
+        if len(others):
+            t = A[others, col] >> e
+            A[others] = (A[others] - t[:, None] * A[p][None, :]) % mod
+        res.append(A[p].copy())
+        pivots.append((col, e))
+        # retire the pivot row; keep untouched rows and nonzero remainders
+        touched = set(int(i) for i in sel)
+        active = [i for i in active if i not in touched]
+        active.extend(int(i) for i in others if A[i].any())
+        if e > 0:
+            ann = A[p] * (1 << (d - e)) % mod
+            if ann.any():
+                A[count] = ann
+                active.append(count)
+                count += 1
+    if not res:
+        return np.zeros((0, rank), dtype=np.int64), []
+    R = np.array(res)
+    # reduce every row's entries at the lower pivot degrees (a row's support
+    # sits at degrees <= its pivot, so later passes never disturb earlier ones)
+    for j in range(1, len(pivots)):
+        cj, ej = pivots[j]
+        t = R[:j, cj] >> ej
+        nzr = np.nonzero(t)[0]
+        if len(nzr):
+            R[nzr] = (R[nzr] - t[nzr, None] * R[j][None, :]) % mod
+    order = np.argsort([c for c, _ in pivots])
+    return R[order], [pivots[i] for i in order]
 
 
 def weierstrass_polynomial_series(r: Vec, d: int) -> Vec:

@@ -25,11 +25,22 @@ GOLDEN = Path(__file__).parent / "golden"
     (("verify", "--f", "323", "--format", "json"), "verify_323.json"),
     # the deep non-split row: pins stabilized_after of all ten levels
     (("verify", "--f", "1605", "--format", "json"), "verify_1605.json"),
+    # split: level 10 inserts 16 s before M drops, s odd first at degree 5
+    (("verify", "--f", "1201", "--format", "json"), "verify_1201.json"),
 ])
 def test_certificate(argv, name, capsys, monkeypatch):
     monkeypatch.delenv("GREENBERG_CACHE", raising=False)
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.slow
+def test_table_below_10000(capsys, monkeypatch):
+    # every odd squarefree f < 10000, the range of the paper's theorem
+    monkeypatch.delenv("GREENBERG_CACHE", raising=False)
+    argv = ["table", "--min", "3", "--max", "10000", "--jobs", "2", "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "table_3_10000.csv").read_text()
 
 
 def test_certificate_from_cache_949(tmp_path, capsys):

@@ -1,18 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import greenberg
 from greenberg import group_ring
-from greenberg.group_ring import (_INT_HOWELL_MAX_RANK, HowellIdeal, RingSpec,
-                                  _howell_form_ints, _howell_form_numpy, canonical_generators,
-                                  divided_spec, from_coeffs, full_spec, howell_form,
-                                  norm_element, one, poly_mul_mod, poly_str, scalar, t_shift,
-                                  to_T_basis, weierstrass_polynomial, zero)
-from greenberg.verify import RunConfig, _n0_sweep, run_level
+from greenberg.group_ring import (HowellIdeal, RingSpec, canonical_generators, divided_spec,
+                                  from_coeffs, full_spec, howell_form, norm_element, one,
+                                  poly_mul_mod, poly_str, scalar, t_shift, to_T_basis,
+                                  weierstrass_polynomial, zero)
+from greenberg.verify import RunConfig, _n0_sweep, run_level, verify
 from oracles import (FullRankIdeal, contains_ideal, divide_by_aug, enumerate_span,
-                     mutual_membership, parse_poly, to_T_basis_horner, to_X_basis,
-                     weierstrass_polynomial_series)
+                     howell_form_numpy, mutual_membership, parse_poly, to_T_basis_horner,
+                     to_X_basis, weierstrass_polynomial_series)
 
 
 def _shift_closure(spec, gens):
@@ -179,7 +184,7 @@ class TestHowellIdeal:
             g = from_coeffs([rng.randrange(spec.modulus) for _ in range(spec.rank)], spec)
             ideal = HowellIdeal.empty(spec).insert(g)
             # rows live in the ideal's own ring Z/2^d[T]/(M), rank deg M
-            for row in ideal.rows:
+            for row in ideal.howell_rows()[0]:
                 assert ideal.contains(t_shift(row, ideal.ring))
 
     def test_reduction_idempotent(self, rng):
@@ -293,6 +298,22 @@ def _ring_case(draw, gens, probes=0):
             draw(st.lists(vec, max_size=probes)))
 
 
+@st.composite
+def _descending_case(draw):
+    """A ring as in :func:`_ring_case` and generators 8 s, 4 s', 2 s'', then
+    an odd one, each present or not: the even ones meet an ideal that has
+    no lower monic element yet, with the valuation v dropping step by step,
+    which random coefficients rarely reach."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from((n + 1, n + 3)))
+    spec = RingSpec(d, n, divided=draw(st.booleans()))
+    vec = st.lists(st.integers(0, spec.modulus - 1), min_size=spec.rank,
+                   max_size=spec.rank).map(lambda c: np.array(c, dtype=np.int64))
+    gens = [(g << k) % spec.modulus for k in (3, 2, 1, 0)
+            for g in draw(st.lists(vec, max_size=2))]
+    return spec, gens or [zero(spec)], draw(st.lists(vec, max_size=4))
+
+
 class TestAgainstFullRankOracle:
     """The ideal engine, held modulo its lowest monic element, against the
     rank-2^n Howell engine it replaced."""
@@ -300,7 +321,36 @@ class TestAgainstFullRankOracle:
     @given(_ring_case(gens=6, probes=4))
     @settings(max_examples=150, deadline=None)
     def test_engine_matches_oracle(self, case):
-        spec, gens, probes = case
+        self._check_against_oracle(*case)
+
+    @given(_descending_case())
+    @settings(max_examples=150, deadline=None)
+    def test_descending_valuations_match_oracle(self, case):
+        self._check_against_oracle(*case)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_derived_rows_before_the_drop(self, n, rng):
+        # J = 2^v K at rank 2^n (or 2^n - 1): the derived Howell rows, their
+        # pivots and the reduced relation are the full-rank engine's
+        for divided in (False, True):
+            spec = RingSpec(n + 1, n, divided)
+            for _ in range(3):
+                gens = []
+                valuations = sorted(rng.sample(range(1, n + 1), 2), reverse=True)
+                for k in valuations:
+                    g = [rng.randrange(spec.modulus) for _ in range(spec.rank)]
+                    g[rng.randrange(6)] |= 1
+                    gens.append(tuple(c << k for c in g))
+                ideal = HowellIdeal.from_generators(spec, gens)
+                oracle = FullRankIdeal.from_generators(spec, gens)
+                assert ideal.v == valuations[-1] and ideal.ring.rank == spec.rank
+                rows, pivots = ideal.howell_rows()
+                assert pivots == oracle.pivots
+                assert np.array_equal(rows, oracle.rows)
+                assert canonical_generators(ideal).generators == oracle.generators()
+                assert ideal.log2_index() == oracle.log2_index()
+
+    def _check_against_oracle(self, spec, gens, probes):
         ideal, oracle = HowellIdeal.empty(spec), FullRankIdeal(spec)
         for g in gens:
             grown = ideal.insert(g)
@@ -310,8 +360,9 @@ class TestAgainstFullRankOracle:
         # row at deg M (when M is not the relation) is M itself
         m = ideal.ring.rank
         low = [i for i, (col, _) in enumerate(oracle.pivots) if col < m]
-        assert ideal.pivots == [oracle.pivots[i] for i in low]
-        assert np.array_equal(ideal.rows, oracle.rows[low, :m])
+        rows, pivots = ideal.howell_rows()
+        assert pivots == [oracle.pivots[i] for i in low]
+        assert np.array_equal(rows, oracle.rows[low, :m])
         if m < spec.rank:
             row = oracle.rows[oracle.pivots.index((m, 0))]
             assert np.array_equal(row[:m + 1], ideal.ring.relation)
@@ -344,36 +395,45 @@ def _valued(d: int):
 
 
 class TestHowellPaths:
-    """howell_form runs small ranks on Python ints and larger ones on
-    numpy; the two take the same steps."""
+    """howell_form runs on Python ints; the numpy form in tests/oracles.py
+    takes the same steps one column pass at a time."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_int_path_matches_numpy(self, data):
         d = data.draw(st.integers(1, 12))
-        rank = data.draw(st.integers(1, _INT_HOWELL_MAX_RANK + 2))
+        rank = data.draw(st.integers(1, 26))
         row = st.one_of(st.just([0] * rank),
                         st.lists(_valued(d), min_size=rank, max_size=rank))
         G = np.array(data.draw(st.lists(row, max_size=2 * rank)),
                      dtype=np.int64).reshape(-1, rank)
-        rows, pivots = _howell_form_ints(G.tolist(), d, rank)
-        np_rows, np_pivots = _howell_form_numpy(G, d, rank)
+        rows, pivots = howell_form(G, d, rank)
+        np_rows, np_pivots = howell_form_numpy(G, d, rank)
         assert pivots == np_pivots
         assert rows.shape == np_rows.shape and np.array_equal(rows, np_rows)
 
-    def test_rank_127_stack_runs_on_numpy(self, monkeypatch):
-        # f = 6817, level 7: an even insertion before M drops, at the
-        # divided rank 127
-        seen = []
-        for name in ("_howell_form_ints", "_howell_form_numpy"):
-            def traced(G, d, rank, _fn=getattr(group_ring, name), _name=name):
-                seen.append((_name, rank))
-                return _fn(G, d, rank)
-            monkeypatch.setattr(group_ring, name, traced)
+    def test_no_howell_form_at_the_group_ring_rank(self, monkeypatch):
+        # f = 6817 level 7 (divided rank 127) and f = 1201 level 10 (rank
+        # 1024) insert even elements before M drops: each Howell form runs
+        # in the ring it rebuilds, at rank deg M, below the group ring's
+        ranks, rings = [], []
+        howell, rebuilt = group_ring.howell_form, HowellIdeal._rebuilt
+
+        def traced_howell(rows, d, rank):
+            ranks.append(rank)
+            return howell(rows, d, rank)
+
+        def traced_rebuilt(self, ring, stack):
+            rings.append((ring.rank, self.spec.rank))
+            return rebuilt(self, ring, stack)
+
+        monkeypatch.setattr(group_ring, "howell_form", traced_howell)
+        monkeypatch.setattr(HowellIdeal, "_rebuilt", traced_rebuilt)
         run_level(6817, 7, RunConfig())
-        assert ("_howell_form_numpy", 127) in seen
-        assert all((name == "_howell_form_ints") == (rank <= _INT_HOWELL_MAX_RANK)
-                   for name, rank in seen)
+        verify(1201)
+        assert ranks == [rank for rank, _ in rings]
+        assert all(rank < spec_rank for rank, spec_rank in rings)
+        assert max(ranks) <= 10
 
 
 class TestRegenerationCheck:
@@ -404,6 +464,46 @@ class TestRegenerationCheck:
                             classmethod(lambda cls, spec, gens: regenerate(cls, spec, gens[:-1])))
         with pytest.raises(AssertionError, match="failed to regenerate"):
             canonical_generators(published_reports[1605].levels[-1].ideal)
+
+    def test_checks_raise_under_optimize(self):
+        # python -O strips asserts: a withheld generator, a unit pivot below
+        # M, a vector outside the augmentation ideal divided by T and a dlog
+        # outside the order-2^k subgroup must still raise
+        code = """
+import dataclasses
+import numpy as np
+from greenberg.cyclo_logs import find_split_primes
+from greenberg.finite_field import build_field_context, dlog_two_power_vec, residue_vec
+from greenberg.group_ring import HowellIdeal, RingSpec, canonical_generators
+from greenberg.verify import _over_T
+spec = RingSpec(3, 2, divided=False)
+ideal = HowellIdeal.from_generators(spec, [(4,), (0, 2), (0, 0, 1)])
+regenerate = HowellIdeal.from_generators.__func__
+withheld = classmethod(lambda cls, spec, gens: regenerate(cls, spec, gens[1:]))
+ring = RingSpec(3, 2, divided=False, relation=(0, 0, 1))
+ctx = build_field_context(find_split_primes(5, 1, 1)[0], 1, 5)
+checks = [
+    (lambda: setattr(HowellIdeal, "from_generators", withheld) or canonical_generators(ideal),
+     AssertionError),
+    (lambda: HowellIdeal.empty(spec)._rebuilt(ring, np.array([[2, 1]])), AssertionError),
+    (lambda: _over_T(np.array([1, 0, 0, 0]), 8), ValueError),
+    (lambda: dlog_two_power_vec(residue_vec([ctx.norm], ctx.r), dataclasses.replace(ctx, w=1)),
+     AssertionError),
+]
+for check, error in checks:
+    try:
+        check()
+        print("silent")
+    except error as exc:
+        print(type(exc).__name__)
+"""
+        src = str(Path(greenberg.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["AssertionError", "AssertionError", "ValueError",
+                               "AssertionError"]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
