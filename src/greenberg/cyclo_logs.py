@@ -51,7 +51,9 @@ PRIME_SWEEP_CAP = 10_000_000
 _BLOCK = 1 << 13                # residues per eta block (kernel rows x conjugates)
 
 CACHE_VERSION = "greenberg-logcache v1 (X-basis coefficients)"
-_INT64_MAX = np.iinfo(np.int64).max
+# what np.fromstring reads but store_records never writes: a sign (a lone
+# one reads as 0) and whitespace other than one space between tokens
+_UNWRITTEN = ("+", "-", "\t", "\v", "\f", "\r", "  ")
 
 log = logging.getLogger(__name__)
 
@@ -60,9 +62,9 @@ log = logging.getLogger(__name__)
 class PrimeLogRecord:
     """The logs of one auxiliary prime at level n: eta and beta as int64
     X-basis vectors of length 2^n (entry i belongs to the i-th conjugate)
-    with entries in [0, 2^k), k = n + 1, and delta as a scalar.  The
-    checks raise ValueError, so they hold under ``python -O``; the vectors
-    are made read-only."""
+    with entries in [0, 2^k), k = n + 1, and delta as a scalar in
+    [0, 2^k) or None.  The checks raise ValueError, so they hold under
+    ``python -O``; the vectors are made read-only."""
 
     r: int
     eta: np.ndarray
@@ -80,6 +82,8 @@ class PrimeLogRecord:
             v.flags.writeable = False
         if self.beta.sum() % mod:
             raise ValueError("beta log-polynomial must lie in the augmentation ideal")
+        if self.delta_scalar is not None and not 0 <= self.delta_scalar < mod:
+            raise ValueError(f"delta scalar must lie in [0, {mod})")
 
     def __eq__(self, other):
         return (isinstance(other, PrimeLogRecord)
@@ -121,17 +125,6 @@ def _beta_exponents(n: int) -> np.ndarray:
     e = np.append(e3, 3 * e3[-1]) % (1 << (n + 2))
     e.flags.writeable = False
     return e
-
-
-@lru_cache(maxsize=None)
-def _eta_residues(kernel: KernelSet) -> np.ndarray:
-    """The kernel residues eta's F_r product runs over: for f = 1 mod 4 one
-    of each pair a, -a (a < f/2), else all; built once per kernel (read-only)."""
-    ker = np.asarray(kernel.residues, dtype=np.int64)
-    if kernel.f % 4 == 1:
-        ker = ker[2 * ker < kernel.f]
-    ker.flags.writeable = False
-    return ker
 
 
 def _row_product(m: np.ndarray, r: int) -> np.ndarray:
@@ -191,8 +184,9 @@ def log_poly_eta(ctx: FieldContext, kernel: KernelSet) -> np.ndarray:
     wpow = ctx.w_powers
     x = wpow[e3 % ordw]
     zsq = power_table(ctx.zeta_f ** 2 % r, f, r)
-    ker = _eta_residues(kernel)
+    ker = kernel.residue_array
     if f % 4 == 1:
+        ker = ker[2 * ker < f]          # one of each pair a, -a
         pre_log += (ksize // 2) * (r - 1) // ordw       # x_0^(|ker|/2), w = N^((r-1)/ordw)
         points = (x + wpow[-e3 % ordw]) % r
         consts = (zsq[ker] + zsq[f - ker]) % r
@@ -251,7 +245,7 @@ def log_scalar_delta(ctx: FieldContext, kernel: KernelSet, f_prime: bool) -> int
     assert kernel.sign_case == "chi_f"
     r, f = ctx.r, ctx.f
     ztab = power_table(ctx.zeta_f, f, r)
-    ker = np.asarray(kernel.residues, dtype=np.int64)
+    ker = kernel.residue_array
     if not f_prime:
         cols = ker[:, None]
     else:
@@ -311,11 +305,13 @@ def load_records(cache_dir: str | Path, f: int, n: int
                  ) -> tuple[dict[int, PrimeLogRecord], list[str]]:
     """Cached records plus a list of warnings for skipped corrupt entries.
 
-    Lines are split at "\n" only, the separator :func:`store_records`
-    writes, and undecodable bytes become U+FFFD, so each corrupt line is
-    skipped with exactly one warning.  So is a line whose delta is present
-    although f != 1 mod 8, or absent although f = 1 mod 8, and one with a
-    coefficient beyond int64.
+    A line loads exactly when :func:`store_records` could have written it:
+    ``f n r | eta | beta | delta``, unsigned ASCII decimals one space apart,
+    the file's f and n, 2^n entries in eta and in beta, and delta ``-``
+    exactly when f != 1 mod 8; the record bounds entries and delta to
+    [0, 2^k).  Lines are split at "\n" only, the separator store_records
+    writes, and undecodable bytes become U+FFFD, so every other non-empty
+    line is skipped with exactly one warning.
     """
     path = cache_path(cache_dir, f, n)
     records: dict[int, PrimeLogRecord] = {}
@@ -327,44 +323,40 @@ def load_records(cache_dir: str | Path, f: int, n: int
         warnings.append(f"{path}: version mismatch, cache ignored")
         return records, warnings
     size = 1 << n
-    mod = 2 * size      # 2^k, k = n + 1
+
+    def decimal(token: str) -> int:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"not an unsigned decimal: {token!r}")
+        return int(token)
 
     def coeffs(field: str) -> np.ndarray:
-        # one C pass per field.  fromstring reads a lone sign as 0, saturates
-        # a token past int64 and stops at trailing data; such fields, never
-        # written by store_records, are read one int() per token instead,
-        # where a token past int64 is an OverflowError
-        v = None
-        if "-" not in field and "+" not in field:
-            try:
-                v = np.fromstring(field, dtype=np.int64, sep=" ")
-            except (ValueError, DeprecationWarning):
-                pass
-            if v is not None and len(v) and v.max() == _INT64_MAX:
-                v = None
-        if v is None:
-            v = np.array(field.split(), dtype=np.int64)
+        # one C pass per field.  fromstring raises (numpy 2) or warns (numpy
+        # < 2) at any other character it cannot read, and saturates a token
+        # past int64, which the record's range check refuses
+        if field.strip(" ") != field or any(s in field for s in _UNWRITTEN):
+            raise ValueError("coefficients must be unsigned decimals one space apart")
+        v = np.fromstring(field, dtype=np.int64, sep=" ")
         if len(v) != size:
             raise ValueError(f"log-polynomial needs {size} coefficients, got {len(v)}")
-        return v % mod
+        return v
 
     with catch_warnings():
-        # numpy 2 raises at trailing data, numpy < 2 only warns with this
+        # the warning numpy < 2 gives at trailing data, raised as an error
         filterwarnings("error", "string or file could not be read", DeprecationWarning)
         for ln, line in enumerate(lines[1:], start=2):
-            if not line.strip():
+            if not line:
                 continue
             try:
-                head, eta_s, beta_s, delta_s = (part.strip() for part in line.split("|"))
-                ff, nn, r = (int(x) for x in head.split())
+                head, eta_s, beta_s, delta_s = line.split(" | ")
+                ff, nn, r = (decimal(x) for x in head.split(" "))
                 if (ff, nn) != (f, n):
                     raise ValueError("key mismatch")
-                eta, beta = coeffs(eta_s), coeffs(beta_s)
                 if (delta_s == "-") != (f % 8 != 1):
                     raise ValueError("delta present exactly when f = 1 mod 8")
-                delta = None if delta_s == "-" else int(delta_s) % mod
-                records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
-            except (ValueError, OverflowError) as exc:
+                delta = None if delta_s == "-" else decimal(delta_s)
+                records[r] = PrimeLogRecord(r=r, eta=coeffs(eta_s), beta=coeffs(beta_s),
+                                            delta_scalar=delta)
+            except (ValueError, DeprecationWarning) as exc:
                 warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")
     return records, warnings
 

@@ -82,11 +82,11 @@ class RingSpec:
         self._tail = np.zeros((0, self.rank), dtype=np.int64)
 
     def tail(self, k: int) -> np.ndarray:
-        """Rows T^(rank+t) mod relation for t < k (cached).
+        """Rows T^(rank+t) mod relation for t < k (cached, built as far as asked).
 
         Grown one T-shift at a time up to rank rows, then by doubling: once
-        the powers below L are known, those in [L, 2L) are the known ones
-        times T^L, one matrix product with the rows T^(L+i), i < rank.
+        L rows are known, the next rank are the last rank times T^rank, and
+        the rest the known ones times T^(rank+L), one product with those.
         """
         t, rank, mod = self._tail, self.rank, self.modulus
         if not rank:
@@ -99,8 +99,9 @@ class RingSpec:
                 rows.append(x)
             t = np.array(rows)
         while len(t) < k:
-            w = t[-rank:] @ t[:rank] % mod        # T^(L+i), L = rank + len(t)
-            t = np.vstack([t, w, t @ w % mod])
+            more = k - len(t)
+            w = t[-rank:] @ t[:rank] % mod        # T^(rank+L+i), L = len(t)
+            t = np.vstack([t, w[:more], t[:max(0, more - rank)] @ w % mod])
         self._tail = t
         return t[:k]
 

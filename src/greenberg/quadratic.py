@@ -50,6 +50,13 @@ class KernelSet:
     def _set(self) -> frozenset[int]:
         return frozenset(self.residues)
 
+    @cached_property
+    def residue_array(self) -> np.ndarray:
+        """The residues as a read-only int64 array, held by the kernel."""
+        ker = np.asarray(self.residues, dtype=np.int64)
+        ker.flags.writeable = False
+        return ker
+
 
 def character_kernel(f: int) -> KernelSet:
     """Kernel of the quadratic character cutting out the relevant subfield

@@ -151,10 +151,10 @@ class PairAccumulator:
     which is T^s times the relation, and the rows are then reduced modulo
     M; once M drops, E and Q go once through the table of (T+1)^i mod M
     and are held in that ring from then on, and S(x) holds the T-shifts
-    of x mod M, rank deg M.  The table is built when M first drops; when M
-    changes again, the table, E and Q are carried over by reducing them
-    modulo the new M.  A product or a row that changes by a multiple of M
-    or of the relation, both in J, generates the same ideal, and every
+    of x mod M, rank deg M.  The table is built when M first drops, and it
+    and E and Q are reduced modulo the new M only when deg M drops again.
+    A product or a row that changes by a multiple of M, of an earlier M or
+    of the relation, all in J, generates the same ideal, and every
     membership test reads the canonical Howell remainder of its coset.
     """
 
@@ -162,20 +162,19 @@ class PairAccumulator:
         self.spec = spec
         self.records: list[tuple[Vec, Vec, int]] = []     # split: eta, beta, delta
         width = 1 << spec.n
-        # E, Q: X-basis rows until M drops, then rows of the ring _ring
+        # E, Q: X-basis rows until M drops, then rows of width deg M
         self.functionals = (np.zeros((0, width), dtype=np.int64),) * 2
-        self._ring: RingSpec | None = None
         self._xpow: np.ndarray | None = None      # (T+1)^i mod M, once M drops
 
     def add_prime(self, rec: PrimeLogRecord, ring: RingSpec) -> np.ndarray:
         """The g-vectors this prime contributes, one per row, as elements
         of ``ring``, the ideal's ring Z/2^d[T]/(M)."""
-        # the record's entries lie in [0, 2^d): the ring's own residues
+        # the record's entries and delta lie in [0, 2^d): the ring's own residues
         mod, eta, beta = self.spec.modulus, rec.eta, rec.beta
         if not self.spec.divided:
             return self._pair(eta, _over_T(beta, mod), ring)
         assert rec.delta_scalar is not None
-        c = rec.delta_scalar % mod
+        c = rec.delta_scalar
         gs = [np.zeros((0, ring.rank), dtype=np.int64)]
         for eta_j, beta_j, c_j in self.records:
             if c_j == 0 and c == 0:
@@ -201,9 +200,8 @@ class PairAccumulator:
             if self._xpow is None:
                 self._xpow = power_table(from_coeffs((1, 1), ring), len(e), ring)
                 E, Q = E @ self._xpow % mod, Q @ self._xpow % mod
-            elif ring is not self._ring:
+            elif ring.rank < E.shape[1]:
                 self._xpow, E, Q = (reduce_poly(x, ring) for x in (self._xpow, E, Q))
-            self._ring = ring
             e, q = e @ self._xpow % mod, q @ self._xpow % mod
             g = (E @ mul_matrix(q, ring) - Q @ mul_matrix(e, ring)) % mod
         self.functionals = (np.vstack([E, e]), np.vstack([Q, q]))

@@ -18,8 +18,8 @@ the scalar loops over the kernel vs the folded residue-vector delta
 product, two beta discrete-log vectors with the prefactor multiplied in vs
 one vector with the prefactor added as a log, the bit-by-bit 2-power
 discrete log vs the sorted-table vector lookup, Horner's rule vs the
-blockwise Taylor shift for X = T + 1, and the per-token cache parser vs
-one array conversion per coefficient field.
+blockwise Taylor shift for X = T + 1, and the cache line grammar as one
+regular expression vs one array conversion per coefficient field.
 
 It also holds what only the tests need: ideal equality by double
 containment, the parser of printed polynomials, the context of another
@@ -29,12 +29,13 @@ candidate of the sweep, and the level-m context sharing a level-n embedding.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
-from greenberg.cyclo_logs import CACHE_VERSION, PrimeLogRecord, cache_path
+from greenberg.cyclo_logs import PrimeLogRecord
 from greenberg.finite_field import (FieldContext, dlog_two_power_vec, factorize, is_prime,
                                     mulmod_vec, power_table, smallest_nonresidue)
 from greenberg.group_ring import (HowellIdeal, RingSpec, Vec, _series_inverse, from_coeffs,
@@ -767,41 +768,27 @@ def log_poly_beta_two_vectors(ctx: FieldContext) -> np.ndarray:
     return (logs[:1 << n] - logs[1 << n:]) % (1 << ctx.k)
 
 
-def load_records_per_token(cache_dir, f: int, n: int
-                           ) -> tuple[dict[int, PrimeLogRecord], list[str]]:
-    """:func:`greenberg.cyclo_logs.load_records` with every coefficient
-    token read by its own ``int()``, so a token past int64 is reduced
-    mod 2^k instead of making its line corrupt."""
-    path = cache_path(cache_dir, f, n)
-    records: dict[int, PrimeLogRecord] = {}
-    warnings: list[str] = []
-    if not path.exists():
-        return records, warnings
-    lines = path.read_bytes().decode("utf-8", errors="replace").split("\n")
-    if lines[0].strip() != f"# {CACHE_VERSION}":
-        warnings.append(f"{path}: version mismatch, cache ignored")
-        return records, warnings
-    k = n + 1
+# f n r | eta | beta | delta, as store_records writes it: single spaces,
+# unsigned ASCII decimals, and delta a decimal or "-"
+_CACHE_LINE = re.compile(r"(\d+) (\d+) (\d+) \| (\d+(?: \d+)*) \| (\d+(?: \d+)*) \| (-|\d+)",
+                         re.ASCII)
 
-    def coeffs(field: str) -> np.ndarray:
-        v = [int(x) % (1 << k) for x in field.split()]
-        if len(v) != 1 << n:
-            raise ValueError(f"log-polynomial needs {1 << n} coefficients, got {len(v)}")
-        return np.array(v, dtype=np.int64)
 
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            head, eta_s, beta_s, delta_s = (part.strip() for part in line.split("|"))
-            ff, nn, r = (int(x) for x in head.split())
-            if (ff, nn) != (f, n):
-                raise ValueError("key mismatch")
-            eta, beta = coeffs(eta_s), coeffs(beta_s)
-            if (delta_s == "-") != (f % 8 != 1):
-                raise ValueError("delta present exactly when f = 1 mod 8")
-            delta = None if delta_s == "-" else int(delta_s) % (1 << k)
-            records[r] = PrimeLogRecord(r=r, eta=eta, beta=beta, delta_scalar=delta)
-        except ValueError as exc:
-            warnings.append(f"{path}:{ln}: corrupt cache line skipped ({exc})")
-    return records, warnings
+def cache_line_record(line: str, f: int, n: int) -> PrimeLogRecord | None:
+    """The record a line of the (f, n) cache file holds, or None when
+    :func:`greenberg.cyclo_logs.load_records` must refuse it: the line
+    grammar, then the rules on its numbers (the file's key, 2^n entries in
+    [0, 2^k) each in eta and beta, beta summing to 0 mod 2^k, and delta in
+    [0, 2^k) exactly when f = 1 mod 8), every token read by its own int()."""
+    m = _CACHE_LINE.fullmatch(line)
+    if m is None:
+        return None
+    ff, nn, r = (int(x) for x in m.group(1, 2, 3))
+    eta, beta = ([int(x) for x in field.split(" ")] for field in m.group(4, 5))
+    delta = None if m[6] == "-" else int(m[6])
+    mod = 2 << n
+    if ((ff, nn) != (f, n) or len(eta) != 1 << n or len(beta) != 1 << n
+            or (delta is None) != (f % 8 != 1)
+            or max(eta + beta + [delta or 0]) >= mod or sum(beta) % mod):
+        return None
+    return PrimeLogRecord(r, np.array(eta, dtype=np.int64), np.array(beta, dtype=np.int64), delta)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from warnings import catch_warnings, simplefilter, warn
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from greenberg.finite_field import build_field_context, dlog_two_power, is_prime
 from greenberg.group_ring import HowellIdeal, from_coeffs, full_spec, poly_mul_mod, to_T_basis
 from greenberg.quadratic import character_kernel
 from greenberg.verify import RunConfig, verify
-from oracles import (eta_square_log, load_records_per_token, log_poly_beta_two_vectors,
+from oracles import (cache_line_record, eta_square_log, log_poly_beta_two_vectors,
                      log_poly_eta_fp2, log_scalar_delta_loop, mutual_membership, subcontext,
                      to_X_basis)
 
@@ -456,16 +457,18 @@ class TestCache:
 
     def test_delta_presence_follows_f(self, tmp_path):
         # delta exists exactly when f = 1 mod 8: a line that disagrees is
-        # corrupt, and a present delta is reduced mod 2^k like eta and beta
+        # corrupt, and so is a present delta outside [0, 2^k), like eta's
+        # and beta's entries
         header = f"# {CACHE_VERSION}\n"
         cache_path(tmp_path, 21, 1).write_text(header + "21 1 5 | 0 1 | 3 1 | 2\n")
         loaded, warnings = load_records(tmp_path, 21, 1)
         assert loaded == {} and len(warnings) == 1 and "corrupt" in warnings[0]
         cache_path(tmp_path, 17, 1).write_text(
-            header + "17 1 5 | 0 1 | 3 1 | -\n17 1 7 | 0 1 | 3 1 | 6\n")
+            header + "17 1 5 | 0 1 | 3 1 | -\n17 1 7 | 0 1 | 3 1 | 2\n17 1 11 | 0 1 | 3 1 | 6\n")
         loaded, warnings = load_records(tmp_path, 17, 1)
         assert list(loaded) == [7] and loaded[7].delta_scalar == 2
-        assert len(warnings) == 1 and ":2: corrupt" in warnings[0]
+        assert [w.split(": corrupt")[0][-2:] for w in warnings] == [":2", ":4"]
+        assert "delta scalar must lie in [0, 4)" in warnings[1]
 
     def test_split_line_without_delta_recomputed(self, tmp_path, caplog):
         # a f = 6817 line stripped of its delta is skipped with one warning
@@ -575,96 +578,142 @@ class TestCacheFuzz:
 
 # the digit sets int() reads besides ASCII: Arabic-Indic, Devanagari,
 # fullwidth and mathematical bold
-_DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
            "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
            "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",
            "\U0001d7ce\U0001d7cf\U0001d7d0\U0001d7d1\U0001d7d2\U0001d7d3\U0001d7d4"
            "\U0001d7d5\U0001d7d6\U0001d7d7")
+_VALUES = {"2^k": st.just(4), "int64": st.integers(4, (1 << 63) - 1),
+           "past int64": st.integers(1 << 63, 1 << 80)}
+_MUTATIONS = ("lone sign", "sign", "underscore", "leading zeros", "digit set", *_VALUES)
+# whitespace fromstring reads as a separator, none, or a character it cannot read
+_SEPS = ("  ", "", "\t", "\v", "\f", "\r", "\x1c", "\u2003")
 
 
-@st.composite
-def _token(draw):
-    """A coefficient token int() may or may not read: signed, with an
-    underscore or two anywhere, leading zeros, other digit sets, values
-    far beyond int64, or a lone sign."""
-    if draw(st.integers(0, 15)) == 0:
-        return draw(st.sampled_from(["+", "-"]))
-    beyond = draw(st.integers(0, 7)) == 0
-    value = draw(st.integers(1 << 63, 1 << 80) if beyond
-                 else st.integers(0, 3) | st.integers(0, (1 << 63) - 1))
-    digits = "0" * draw(st.integers(0, 2)) + str(value)
-    digits = "".join(draw(st.sampled_from(_DIGITS))[int(c)] for c in digits)
-    if draw(st.integers(0, 3)) == 0:
-        cut = draw(st.integers(0, len(digits)))
-        digits = digits[:cut] + draw(st.sampled_from(["_", "__"])) + digits[cut:]
-    return draw(st.sampled_from(["", "+", "-"])) + digits
+def _mutated(draw, token: str) -> str:
+    """token with one mutation: a lone sign, a sign, an underscore, leading
+    zeros, another digit set int() reads, or the value 2^k = 4, one up to
+    int64's maximum (where fromstring saturates) or one past it."""
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    if mutation == "lone sign":
+        return draw(st.sampled_from("+-"))
+    if mutation in _VALUES or not token.isdigit():     # delta's "-" gets a value
+        token = str(draw(_VALUES.get(mutation, st.integers(0, 3))))
+    if mutation == "leading zeros":
+        token = "0" * draw(st.integers(1, 20)) + token
+    elif mutation == "digit set":
+        token = "".join(draw(st.sampled_from(_DIGITS))[int(c)] for c in token)
+    elif mutation == "underscore":
+        cut = draw(st.integers(0, len(token)))
+        token = token[:cut] + draw(st.sampled_from(["_", "__"])) + token[cut:]
+    elif mutation == "sign":
+        token = draw(st.sampled_from("+-")) + token
+    return token
 
 
 @st.composite
 def _near_valid_line(draw):
-    """A (21, 1) cache line whose four coefficient tokens come from
-    _token, and those tokens."""
-    tokens = draw(st.lists(_token(), min_size=4, max_size=4))
-    if draw(st.booleans()):      # beta summing to 0 mod 4, when the tokens parse
-        try:
-            tokens[3] = str(-int(tokens[2]) + 4 * draw(st.integers(-2, 2)))
-        except ValueError:
-            pass
-    return f"21 1 22777 | {tokens[0]} {tokens[1]} | {tokens[2]} {tokens[3]} | -", tokens
-
-
-def _in_int64(tokens) -> bool:
-    """False when int(), reading the tokens in order, meets a value beyond
-    int64 before a token it cannot read."""
-    try:
-        return all(-(1 << 63) <= int(t) < 1 << 63 for t in tokens)
-    except ValueError:
-        return True
-
-
-class TestCacheParserDifferential:
-    # each field that the one-pass read hands back to one int() per token:
-    # int64's maximum (fromstring's saturation value), 2^63 and a 20-digit
-    # token past int64, trailing data, digits int() reads and fromstring
-    # does not, an underscore, and lone signs, which fromstring reads as 0
-    @pytest.mark.parametrize("eta", [
-        "9223372036854775807 1", "9223372036854775808 1", "99999999999999999999 1",
-        "00000000000000000003 1", "1 2 x", "\u0661 \u0663", "1_0 1",
-        "1 -", "- 1", "+ 1", "1 +",
-    ])
-    def test_fallback_triggers(self, eta):
-        line = f"21 1 22777 | {eta} | 1 3 | -"
-        with tempfile.TemporaryDirectory() as d:
-            path = cache_path(d, 21, 1)
-            path.write_text(f"# {CACHE_VERSION}\n{line}\n")
-            got = load_records(d, 21, 1)
-            want = load_records_per_token(d, 21, 1)
-        if _in_int64(eta.split()):
-            assert got == want
+    """f and a level-1 cache line of f = 17 (delta present) or 21 (absent):
+    a valid line with up to three of its numbers mutated by _mutated, its
+    separators swapped for _SEPS or its delta's presence flipped, and
+    perhaps leading whitespace."""
+    f = draw(st.sampled_from([17, 21]))
+    eta = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    beta = draw(st.integers(0, 3))
+    delta = str(draw(st.integers(0, 3))) if f % 8 == 1 else "-"
+    # numbers at the even places, separators at the odd ones
+    parts = [str(f), " ", "1", " ", "22777", " | ", str(eta[0]), " ", str(eta[1]), " | ",
+             str(beta), " ", str(-beta % 4), " | ", delta]
+    for i in draw(st.lists(st.integers(0, len(parts) - 1), max_size=3, unique=True)):
+        if i % 2:
+            parts[i] = parts[i].replace(" ", draw(st.sampled_from(_SEPS)), draw(st.integers(1, 2)))
+        elif i == len(parts) - 1 and draw(st.booleans()):
+            parts[i] = "1" if delta == "-" else "-"
         else:
-            # past int64 the line is corrupt, where the per-token read loads it
-            with pytest.raises(OverflowError) as exc:
-                np.array(eta.split(), dtype=np.int64)
-            assert got == ({}, [f"{path}:2: corrupt cache line skipped ({exc.value})"])
+            parts[i] = _mutated(draw, parts[i])
+    return f, draw(st.sampled_from(["", "", "", " ", "\t"])) + "".join(parts)
+
+
+def _load_line(f: int, line: str):
+    """load_records on a level-1 file holding one line, and the file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = cache_path(d, f, 1)
+        path.write_bytes(f"# {CACHE_VERSION}\n{line}\n".encode())
+        return load_records(d, f, 1), path
+
+
+class TestCacheLineGrammar:
+    """load_records takes exactly the lines store_records writes: a line
+    loads when the grammar oracle accepts it, and to the oracle's record;
+    any other line gives exactly one warning."""
+
+    def _check(self, f, line):
+        want = cache_line_record(line, f, 1)
+        (got, warnings), path = _load_line(f, line)
+        if want is None:
+            assert got == {} and len(warnings) == 1, (got, warnings)
+            assert warnings[0].startswith(f"{path}:2: corrupt cache line skipped (")
+        else:
+            assert (got, warnings) == ({want.r: want}, [])
+        return want is not None
+
+    @pytest.mark.parametrize("eta", [
+        "1 2x",         # trailing data, where numpy < 2 only warns
+        "1 2 x", "1 -", "- 1", "+ 1", "1 +",   # fromstring reads a lone sign as 0
+        "\u0661 \u0663", "1_0 1",                # tokens int() reads
+        "9223372036854775807 1", "9223372036854775808 1",   # 2^63 - 1, 2^63 (saturated)
+        "99999999999999999999 1", "4 1",       # past int64, 2^k
+        "1  1", "1\t1", " 1 1", "1 1 ",         # whitespace fromstring reads
+        "0 1", "00000000000000000003 1",      # the two that load
+    ])
+    def test_eta_field(self, eta):
+        loads = eta in ("0 1", "00000000000000000003 1")
+        assert self._check(21, f"21 1 22777 | {eta} | 1 3 | -") == loads
+
+    @pytest.mark.parametrize("f, line, loads", [
+        (17, "17 1 22777 | 0 1 | 1 3 | 3", True),
+        (17, "17 1 22777 | 0 1 | 1 3 | 4", False),      # a delta of 2^k
+        (17, "17 1 22777 | 0 1 | 1 3 | +3", False),
+        (17, "17 1 22777 | 0 1 | 1 3 | -", False),      # delta absent although f = 1 mod 8
+        (21, "21 1 22777 | 0 1 | 1 3 | 3", False),      # present although f != 1 mod 8
+        (21, "21 1 22777 | 0 1 | 1 3 |  -", False),
+        (21, "21 1 22777 | 0 1 | 1 3 | - ", False),
+        (21, "21 1 22777 | 0 1 | 1 3 | -\r", False),
+        (21, " 21 1 22777 | 0 1 | 1 3 | -", False),
+        (21, "21  1 22777 | 0 1 | 1 3 | -", False),
+        (21, "21 1 +22777 | 0 1 | 1 3 | -", False),
+        (21, "21 1 \u0662 | 0 1 | 1 3 | -", False),
+        (21, "21 1 22777|0 1|1 3|-", False),
+        (21, " ", False),
+        (21, "21 1 318665857834031151167461 | 0 1 | 1 3 | -", True),    # r past int64
+    ])
+    def test_line(self, f, line, loads):
+        assert self._check(f, line) == loads
+
+    def test_numpy1_trailing_data_warning(self, monkeypatch):
+        # numpy < 2 returns the tokens read before trailing data with a
+        # DeprecationWarning instead of raising: "1 2x" must still be corrupt
+        fromstring = np.fromstring
+
+        def numpy1_fromstring(field, dtype, sep):
+            try:
+                return fromstring(field, dtype=dtype, sep=sep)
+            except ValueError:
+                warn("string or file could not be read to its end due to unmatched "
+                     "data; this will raise a ValueError in the future.",
+                     DeprecationWarning, stacklevel=2)
+                return fromstring(field.rstrip("x"), dtype=dtype, sep=sep)
+
+        monkeypatch.setattr(cyclo_logs.np, "fromstring", numpy1_fromstring)
+        with catch_warnings():      # the loader's own filter, not the test run's
+            simplefilter("ignore", DeprecationWarning)
+            (got, warnings), path = _load_line(21, "21 1 22777 | 1 2x | 1 3 | -")
+        assert got == {} and len(warnings) == 1 and "could not be read" in warnings[0]
 
     @given(_near_valid_line())
-    @settings(max_examples=300, deadline=None)
-    def test_array_parser_matches_per_token_parser(self, case):
-        # a line loads to the per-token parser's record or gives exactly one
-        # warning, and never raises; with every token within int64 the two
-        # parsers agree, past it the line is corrupt
-        line, tokens = case
-        with tempfile.TemporaryDirectory() as d:
-            cache_path(d, 21, 1).write_text(f"# {CACHE_VERSION}\n{line}\n")
-            got, warnings = load_records(d, 21, 1)
-            want, want_warnings = load_records_per_token(d, 21, 1)
-        assert len(got) + len(warnings) == 1
-        if got:
-            assert got == want
-        if _in_int64(tokens):
-            assert (got, len(warnings)) == (want, len(want_warnings))
-        else:
-            assert warnings and "corrupt" in warnings[0]
+    @settings(max_examples=400, deadline=None)
+    def test_loads_exactly_the_grammar(self, case):
+        self._check(*case)
 
 
 class TestPrimeLogRecord:
@@ -688,3 +737,32 @@ class TestPrimeLogRecord:
             assert not v.flags.writeable
             with pytest.raises(ValueError):
                 v[0] = 0
+
+    @pytest.mark.parametrize("delta", [-1, 4, 1 << 63])
+    def test_delta_outside_range_rejected(self, delta):
+        PrimeLogRecord(0, _vec(0, 1), _vec(3, 1), 3)
+        with pytest.raises(ValueError, match="delta scalar"):
+            PrimeLogRecord(0, _vec(0, 1), _vec(3, 1), delta)
+
+    def test_kernel_not_kept(self):
+        # nothing the records are built from holds on to the kernel, so a
+        # long-lived process (a table worker) keeps no radicand's kernel; a
+        # fresh interpreter, since a cache keyed by kernels would keep the
+        # first of equal ones and let the later ones go
+        code = ("import gc, weakref\n"
+                "from greenberg.cyclo_logs import compute_record, find_split_primes\n"
+                "from greenberg.quadratic import character_kernel\n"
+                "refs = []\n"
+                "for f, n in ((949, 2), (6817, 1), (323, 1)):\n"
+                "    kernel = character_kernel(f)\n"
+                "    compute_record(f, n, find_split_primes(f, n, 1)[0], kernel)\n"
+                "    refs.append(weakref.ref(kernel))\n"
+                "    del kernel\n"
+                "gc.collect()\n"
+                "print(sum(ref() is not None for ref in refs))")
+        src = str(Path(greenberg.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0"]

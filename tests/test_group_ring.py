@@ -58,6 +58,23 @@ class TestRingArithmetic:
             assert np.array_equal(poly_mul_mod(poly_mul_mod(a, b, spec), c, spec),
                                   poly_mul_mod(a, poly_mul_mod(b, c, spec), spec))
 
+    @pytest.mark.parametrize("relation", [(0, 2, 1), (2, 0, 1, 3, 0, 3, 6, 1), (5, 1),
+                                          tuple(range(7)) + (1,)])
+    def test_tail_built_only_as_asked(self, relation):
+        # T^(rank+t) one T-shift at a time; a fresh ring's table holds no
+        # more rows than the call asked for
+        d, rank = 3, len(relation) - 1
+        ring = RingSpec(d, 3, False, relation=relation)
+        x, shifts = np.eye(1, rank, rank - 1, dtype=np.int64)[0], []
+        for _ in range(50):
+            x = t_shift(x, ring)
+            shifts.append(x)
+        for k in (1, rank, rank + 1, 2 * rank + 1, 50):
+            fresh = RingSpec(d, 3, False, relation=relation)
+            assert np.array_equal(fresh.tail(k), shifts[:k])
+            assert len(fresh._tail) < k + rank
+            assert np.array_equal(ring.tail(k), shifts[:k])    # grown call by call
+
 
 class TestNormElement:
     def test_small(self):

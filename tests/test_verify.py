@@ -80,8 +80,9 @@ class TestRunLevelAgainstFullRankPairs:
 
 class TestCarriedPairingTable:
     """The (T+1)^i table is built once, when M first drops; at each later
-    change of M the table and the E and Q stacks held in the ring are
-    reduced modulo the new M.  After every prime they stay congruent mod J
+    drop of deg M the table and the E and Q stacks held in the ring are
+    reduced modulo the new M, and a change of M that keeps its degree
+    leaves them as they are.  After every prime they stay congruent mod J
     to a fresh rebuild in the current ring from the X-basis functionals."""
 
     # (1605, 6): M drops to degree 6, then 3, then 2; (6817, 4), divided:
@@ -94,8 +95,10 @@ class TestCarriedPairingTable:
         pairs, xbasis = PairAccumulator(spec), PairAccumulator(spec)
         ideal, rings = HowellIdeal.empty(spec), []
         for rec in records:
-            ring = ideal.ring
+            ring, table = ideal.ring, pairs._xpow
             gs = pairs.add_prime(rec, ring)
+            if table is not None and ring.rank == table.shape[1]:
+                assert pairs._xpow is table, rec.r
             xbasis.add_prime(rec, spec)
             if pairs._xpow is not None:
                 if not rings or rings[-1] is not ring:
